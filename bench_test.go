@@ -27,6 +27,7 @@ import (
 	"hido/internal/core"
 	"hido/internal/cube"
 	"hido/internal/dataset"
+	"hido/internal/discretize"
 	"hido/internal/grid"
 	"hido/internal/obs"
 	"hido/internal/server"
@@ -214,6 +215,44 @@ func BenchmarkMusk_RestartsSharedCache(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// --- The fit path the bench gate pins: one stream.NewMonitor fit on
+// the Musk profile (d=160) at phi=9 with a fixed search seed, and the
+// equi-depth discretization it starts with. allocs/op is deterministic
+// per seed, so bench_baseline.json gates it sharply. ---
+
+func muskData(b *testing.B) *dataset.Dataset {
+	b.Helper()
+	p, err := synth.ProfileByName("Musk")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := p.Generate(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds
+}
+
+func BenchmarkFit_Musk(b *testing.B) {
+	ds := muskData(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stream.NewMonitor(ds, stream.Options{Phi: 9, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDiscretize_Musk(b *testing.B) {
+	ds := muskData(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		discretize.Fit(ds, 9, discretize.EquiDepth)
 	}
 }
 

@@ -46,7 +46,9 @@ type CheckpointOptions struct {
 	Resume bool
 }
 
-const checkpointVersion = 1
+// checkpointVersion 2 stores memo keys as bytes (base64 in the JSON):
+// cube keys are binary, which a JSON string would not carry intact.
+const checkpointVersion = 2
 
 // checkpointFile is the on-disk envelope. Float64 values (fitness,
 // sparsity) are stored as IEEE-754 bit patterns: JSON cannot encode
@@ -76,7 +78,7 @@ type bruteState struct {
 }
 
 type memoEntryState struct {
-	Key      string `json:"key"`
+	Key      []byte `json:"key"`
 	SparBits uint64 `json:"spar_bits"`
 	Count    int    `json:"count"`
 }
@@ -163,12 +165,20 @@ func loadCheckpointFile(path, kind, fingerprint string) (*checkpointFile, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: read checkpoint: %w", err)
 	}
+	// Read the version first: an older file's body need not decode
+	// under this version's types (version-1 memo keys are not base64).
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return nil, fmt.Errorf("core: corrupt checkpoint %s: %w", path, err)
+	}
+	if head.Version != checkpointVersion {
+		return nil, fmt.Errorf("core: checkpoint %s has version %d, want %d", path, head.Version, checkpointVersion)
+	}
 	var cf checkpointFile
 	if err := json.Unmarshal(data, &cf); err != nil {
 		return nil, fmt.Errorf("core: corrupt checkpoint %s: %w", path, err)
-	}
-	if cf.Version != checkpointVersion {
-		return nil, fmt.Errorf("core: checkpoint %s has version %d, want %d", path, cf.Version, checkpointVersion)
 	}
 	if cf.Kind != kind {
 		return nil, fmt.Errorf("core: checkpoint %s holds a %q search, want %q", path, cf.Kind, kind)
@@ -358,7 +368,7 @@ func (cp *evoCheckpointer) restore(s *search, pop *evo.Population) (nextGen, sta
 	s.evals = st.Evals
 	s.cache = make(map[string]fitEntry, len(st.Memo))
 	for _, me := range st.Memo {
-		s.cache[me.Key] = fitEntry{sparsity: math.Float64frombits(me.SparBits), count: me.Count}
+		s.cache[string(me.Key)] = fitEntry{sparsity: math.Float64frombits(me.SparBits), count: me.Count}
 	}
 	return st.NextGen, st.Stall, true, nil
 }
@@ -401,7 +411,7 @@ func (cp *evoCheckpointer) snapshot(s *search, pop *evo.Population, nextGen, sta
 	sort.Strings(keys)
 	for _, k := range keys {
 		e := s.cache[k]
-		st.Memo = append(st.Memo, memoEntryState{Key: k, SparBits: math.Float64bits(e.sparsity), Count: e.count})
+		st.Memo = append(st.Memo, memoEntryState{Key: []byte(k), SparBits: math.Float64bits(e.sparsity), Count: e.count})
 	}
 	cf := &checkpointFile{Version: checkpointVersion, Kind: "evo", Fingerprint: cp.fp, Evo: st}
 	if err := writeCheckpointFile(cp.opt.Path, cf); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -172,6 +173,76 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	if _, err := det.Evolutionary(resume); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("corrupt checkpoint resumed: %v", err)
 	}
+}
+
+// A version-1 checkpoint stored memo keys as JSON strings in the old
+// comma-decimal form. Its keys would never hit the packed-key memo, so
+// a resume would re-count every cube and inflate Evaluations; it must
+// be refused with the version error instead.
+func TestCheckpointVersion1Refused(t *testing.T) {
+	ds := plantedDataset(200, 6, 66)
+	det := NewDetector(ds, 4)
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	opt := EvoOptions{K: 3, M: 6, Seed: 5, MaxGenerations: 3, Patience: -1,
+		Checkpoint: &CheckpointOptions{Path: path}}
+	if _, err := det.Evolutionary(opt); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cf map[string]any
+	if err := json.Unmarshal(data, &cf); err != nil {
+		t.Fatal(err)
+	}
+	cf["version"] = 1
+	memo := cf["evo"].(map[string]any)["memo"].([]any)
+	if len(memo) == 0 {
+		t.Fatal("checkpoint has an empty memo")
+	}
+	for _, e := range memo {
+		e.(map[string]any)["key"] = "0,3,0,2,0,1"
+	}
+	if data, err = json.Marshal(cf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resume := opt
+	resume.MaxGenerations = 6
+	resume.Checkpoint = &CheckpointOptions{Path: path, Resume: true}
+	if _, err := det.Evolutionary(resume); err == nil || !strings.Contains(err.Error(), "has version 1, want 2") {
+		t.Fatalf("version-1 checkpoint resumed: %v", err)
+	}
+}
+
+// Past 127 dimensions the memo keys hold bytes a JSON string would
+// mangle; the resumed run must still match the uninterrupted one,
+// Evaluations included.
+func TestEvoCheckpointResumeWideKeys(t *testing.T) {
+	ds := plantedDataset(200, 140, 67)
+	det := NewDetector(ds, 4)
+	base := EvoOptions{K: 3, M: 8, Seed: 9, MaxGenerations: 12, Patience: -1}
+	ref, err := det.Evolutionary(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wide.ckpt")
+	interrupted := base
+	interrupted.MaxGenerations = 5
+	interrupted.Checkpoint = &CheckpointOptions{Path: path}
+	if _, err := det.Evolutionary(interrupted); err != nil {
+		t.Fatal(err)
+	}
+	resumed := base
+	resumed.Checkpoint = &CheckpointOptions{Path: path, Resume: true}
+	got, err := det.Evolutionary(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsEqual(t, "wide-key resume", ref, got)
 }
 
 // Resume with no checkpoint file on disk starts fresh — the first run

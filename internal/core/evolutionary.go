@@ -167,6 +167,11 @@ type search struct {
 	workers int
 	evals   int
 	ctxs    []*xoverCtx // lazily built per-worker scratch contexts
+	// keyBuf holds the current generation's member keys back to back;
+	// member i's key ends at keyEnd[i]. evaluateAll builds them once
+	// and the memo, the count batch and the best-set offers share them.
+	keyBuf []byte
+	keyEnd []int
 	// lastDistinct is the latest generation's distinct-genome count,
 	// maintained by evaluateAll only when the run is observed.
 	lastDistinct int
@@ -331,48 +336,48 @@ func (s *search) sparsityOf(n int) float64 {
 // worker pool. Infeasible genomes (wrong dimensionality, possible
 // only under two-point crossover) receive +Inf, the worst value for
 // the minimizing search ("assigned very low fitness values", §2.2).
+//
+// Each member's key is built once, into the search's reused key
+// buffer; memo lookups read it without allocating, and only a cube
+// the run has never seen gets a key string of its own.
 func (s *search) evaluateAll(pop *evo.Population) {
 	n := pop.Len()
-	keys := make([]string, n)
-	parallelFor(n, s.workers, func(i int) {
-		keys[i] = pop.Members[i].Key()
-	})
-
-	var jobs []int // representative member index per distinct uncached key
-	queued := make(map[string]bool)
-	for i := 0; i < n; i++ {
-		key := keys[i]
-		if _, ok := s.cache[key]; ok || queued[key] {
-			continue
-		}
-		if cube.Cube(pop.Members[i]).K() != s.opt.K {
-			s.cache[key] = fitEntry{sparsity: math.Inf(1), count: -1}
-			continue
-		}
-		queued[key] = true
-		jobs = append(jobs, i)
-		s.evals++
+	s.keyBuf, s.keyEnd = s.keyBuf[:0], s.keyEnd[:0]
+	for _, g := range pop.Members {
+		s.keyBuf = cube.Cube(g).AppendKey(s.keyBuf)
+		s.keyEnd = append(s.keyEnd, len(s.keyBuf))
 	}
 
 	// One source batch per generation: a local source fans the counts
 	// out on the worker pool; a remote source resolves them in a single
-	// round trip across the shards.
-	cs := make([]cube.Cube, len(jobs))
-	ks := make([]string, len(jobs))
-	for j, i := range jobs {
-		cs[j] = cube.Cube(pop.Members[i])
-		ks[j] = keys[i]
+	// round trip across the shards. A queued cube's memo entry is a
+	// placeholder until the batch returns, which also dedups the batch.
+	var cs []cube.Cube
+	var ks []string
+	for i := 0; i < n; i++ {
+		if _, ok := s.cache[string(s.memberKey(i))]; ok {
+			continue
+		}
+		key := string(s.memberKey(i))
+		c := cube.Cube(pop.Members[i])
+		if c.K() != s.opt.K {
+			s.cache[key] = fitEntry{sparsity: math.Inf(1), count: -1}
+			continue
+		}
+		s.cache[key] = fitEntry{}
+		cs = append(cs, c)
+		ks = append(ks, key)
+		s.evals++
 	}
-	counts := s.src.CountBatch(cs, ks, s.workers)
-	for j, i := range jobs {
-		s.cache[keys[i]] = fitEntry{
-			sparsity: s.sparsityOf(counts[j]),
-			count:    counts[j],
+	if len(cs) > 0 {
+		counts := s.src.CountBatch(cs, ks, s.workers)
+		for j, key := range ks {
+			s.cache[key] = fitEntry{sparsity: s.sparsityOf(counts[j]), count: counts[j]}
 		}
 	}
 
 	for i := 0; i < n; i++ {
-		pop.Fitness[i] = s.cache[keys[i]].sparsity
+		pop.Fitness[i] = s.cache[string(s.memberKey(i))].sparsity
 	}
 
 	// The keys are already in hand, so the population's diversity count
@@ -381,11 +386,21 @@ func (s *search) evaluateAll(pop *evo.Population) {
 	// need it.
 	if s.opt.OnGeneration != nil || s.opt.Observer != nil {
 		seen := make(map[string]struct{}, n)
-		for _, k := range keys {
-			seen[k] = struct{}{}
+		for i := 0; i < n; i++ {
+			seen[string(s.memberKey(i))] = struct{}{}
 		}
 		s.lastDistinct = len(seen)
 	}
+}
+
+// memberKey returns member i's key from the latest evaluateAll, a view
+// into the key buffer valid until the next one.
+func (s *search) memberKey(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = s.keyEnd[i-1]
+	}
+	return s.keyBuf[start:s.keyEnd[i]]
 }
 
 // evaluate scores one genome through the run-local memo — the scalar
@@ -409,31 +424,33 @@ func (s *search) evaluate(g evo.Genome) float64 {
 }
 
 // offerAll submits the whole population to the best set in member
-// order and reports whether the set improved.
+// order and reports whether the set improved. It reads the member keys
+// of the evaluateAll that scored the population.
 func (s *search) offerAll(pop *evo.Population) bool {
 	improved := false
 	for i := range pop.Members {
-		if s.offer(pop.Members[i], pop.Fitness[i]) {
+		if s.offer(pop.Members[i], s.memberKey(i), pop.Fitness[i]) {
 			improved = true
 		}
 	}
 	return improved
 }
 
-// offer submits a genome to the best set, respecting feasibility and
-// the MinCoverage filter. It reports whether the set improved.
-func (s *search) offer(g evo.Genome, fitness float64) bool {
+// offer submits a genome with its key to the best set, respecting
+// feasibility and the MinCoverage filter. It reports whether the set
+// improved.
+func (s *search) offer(g evo.Genome, key []byte, fitness float64) bool {
 	if math.IsInf(fitness, 1) {
 		return false
 	}
 	if fitness >= s.bs.Worst() {
 		return false
 	}
-	e := s.cache[g.Key()]
+	e := s.cache[string(key)]
 	if e.count < s.opt.MinCoverage {
 		return false
 	}
-	return s.bs.Offer(g, fitness)
+	return s.bs.OfferKey(g, key, fitness)
 }
 
 // mutateAll applies Figure 6 to every string in the population.

@@ -10,6 +10,7 @@
 package cube
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -157,17 +158,28 @@ func (c Cube) Contains(o Cube) bool {
 	return true
 }
 
-// Key returns a compact unique string for use as a map key.
+// Key returns the cube's identity as a compact binary string: the
+// constrained (dimension, range) pairs in dimension order, each value
+// a uvarint. Uvarints are self-delimiting, so the key is injective over
+// the cubes of one dimensionality at any d and φ, and its length grows
+// with k, not with d. It is the one map key every memo and best set
+// shares; render cubes for people with String.
 func (c Cube) Key() string {
-	var b strings.Builder
-	b.Grow(len(c) * 3)
-	for i, v := range c {
-		if i > 0 {
-			b.WriteByte(',')
+	var buf [32]byte
+	return string(c.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the cube's Key bytes to dst and returns the
+// extended slice, the allocation-free form for callers that keep a
+// buffer.
+func (c Cube) AppendKey(dst []byte) []byte {
+	for j, v := range c {
+		if v != DontCare {
+			dst = binary.AppendUvarint(dst, uint64(j))
+			dst = binary.AppendUvarint(dst, uint64(v))
 		}
-		b.WriteString(strconv.Itoa(int(v)))
 	}
-	return b.String()
+	return dst
 }
 
 // String renders the paper's notation: '*' for DontCare, the range

@@ -124,6 +124,17 @@ func TestKeyUnique(t *testing.T) {
 	}
 }
 
+func TestAppendKey(t *testing.T) {
+	c := FromPairs(200, DimRange{3, 7}, DimRange{150, 300})
+	got := c.AppendKey([]byte("prefix"))
+	if string(got) != "prefix"+c.Key() {
+		t.Errorf("AppendKey = %q, want prefix + %q", got, c.Key())
+	}
+	if New(5).Key() != "" {
+		t.Errorf("all-DontCare key %q, want empty", New(5).Key())
+	}
+}
+
 func TestParseRoundTrip(t *testing.T) {
 	for _, s := range []string{"*3*9", "111", "*", "12.*.1"} {
 		c, err := Parse(s)

@@ -190,14 +190,20 @@ func (ds *Dataset) RowView(i int) []float64 {
 
 // Column returns column j as a fresh slice.
 func (ds *Dataset) Column(j int) []float64 {
+	return ds.AppendColumn(make([]float64, 0, ds.n), j)
+}
+
+// AppendColumn appends column j to dst and returns the extended slice —
+// the form for callers that gather column after column into one
+// buffer.
+func (ds *Dataset) AppendColumn(dst []float64, j int) []float64 {
 	if j < 0 || j >= ds.d {
 		panic(fmt.Sprintf("dataset: Column(%d) out of range [0,%d)", j, ds.d))
 	}
-	out := make([]float64, ds.n)
 	for i := 0; i < ds.n; i++ {
-		out[i] = ds.vals[i*ds.d+j]
+		dst = append(dst, ds.vals[i*ds.d+j])
 	}
-	return out
+	return dst
 }
 
 // Label returns the label of row i, or "" if the dataset is unlabeled.

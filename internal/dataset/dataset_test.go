@@ -79,6 +79,20 @@ func TestRowColumnCopies(t *testing.T) {
 	}
 }
 
+func TestAppendColumn(t *testing.T) {
+	ds := sample()
+	buf := ds.AppendColumn([]float64{-1}, 2)
+	want := append([]float64{-1}, ds.Column(2)...)
+	if len(buf) != len(want) {
+		t.Fatalf("AppendColumn = %v, want %v", buf, want)
+	}
+	for i := range want {
+		if buf[i] != want[i] {
+			t.Fatalf("AppendColumn = %v, want %v", buf, want)
+		}
+	}
+}
+
 func TestRowView(t *testing.T) {
 	ds := sample()
 	v := ds.RowView(1)

@@ -15,7 +15,8 @@ package discretize
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"hido/internal/dataset"
 )
@@ -71,10 +72,10 @@ func Fit(ds *dataset.Dataset, phi int, method Method) *Grid {
 		D:      ds.D(),
 		Method: method,
 		cuts:   make([][]float64, ds.D()),
-		cells:  make([]uint16, ds.N()*ds.D()),
 	}
+	col := make([]float64, 0, ds.N())
 	for j := 0; j < ds.D(); j++ {
-		col := ds.Column(j)
+		col = ds.AppendColumn(col[:0], j)
 		switch method {
 		case EquiDepth:
 			g.cuts[j] = equiDepthCuts(col, phi)
@@ -83,45 +84,113 @@ func Fit(ds *dataset.Dataset, phi int, method Method) *Grid {
 		default:
 			panic("discretize: unknown method")
 		}
-		for i, v := range col {
-			g.cells[i*g.D+j] = g.assign(j, v)
-		}
 	}
+	g.assignCells(ds)
 	return g
 }
 
 // equiDepthCuts places boundaries at the q = r/phi quantiles of the
 // non-missing values. Ties in the data can make some ranges larger
 // than N/phi and others empty; this mirrors how equi-depth histograms
-// behave on discrete-valued attributes.
+// behave on discrete-valued attributes. It reorders col: the
+// non-missing values are moved to its front and partially sorted
+// there.
 func equiDepthCuts(col []float64, phi int) []float64 {
-	clean := make([]float64, 0, len(col))
+	clean := col[:0]
 	for _, v := range col {
 		if !math.IsNaN(v) {
 			clean = append(clean, v)
 		}
 	}
 	cuts := make([]float64, phi-1)
-	if len(clean) == 0 {
+	n := len(clean)
+	if n == 0 {
 		// All missing: boundaries are irrelevant; every cell is 0.
 		for i := range cuts {
 			cuts[i] = math.Inf(1)
 		}
-		return cuts
+		return finiteCuts(cuts)
 	}
-	sort.Float64s(clean)
-	n := len(clean)
+	// Boundary r sits at the ceil(r·n/phi)-th order statistic, so each
+	// of the phi ranges receives floor-or-ceil of n/phi records. The
+	// ranks are non-decreasing in r, so one multi-selection places them
+	// all without sorting the column.
+	ranks := make([]int, phi-1)
 	for r := 1; r < phi; r++ {
-		// Boundary after the ceil(r·n/phi)-th order statistic, so each of
-		// the phi ranges receives floor-or-ceil of n/phi records.
 		idx := (r*n + phi - 1) / phi // ceil(r·n/phi)
-		if idx < 1 {
-			idx = 1
+		ranks[r-1] = min(max(idx, 1), n) - 1
+	}
+	selectRanks(clean, 0, ranks, 2*bits.Len(uint(n)))
+	for i, k := range ranks {
+		cuts[i] = clean[k]
+	}
+	return finiteCuts(cuts)
+}
+
+// selectRanks reorders xs, a window of a NaN-free column starting at
+// rank off, so that the value a full sort would put at each rank in
+// ks (ascending, duplicates allowed) lands there: quickselect with a
+// three-way partition that descends only into the sides still holding
+// a wanted rank. Past depth partitions it sorts the window, which
+// bounds the worst case at O(n log n).
+func selectRanks(xs []float64, off int, ks []int, depth int) {
+	for len(ks) > 0 {
+		if len(xs) <= 16 || depth == 0 {
+			slices.Sort(xs)
+			return
 		}
-		if idx > n {
-			idx = n
-		}
-		cuts[r-1] = clean[idx-1]
+		depth--
+		lt, gt := partition3(xs, medianOf3(xs[0], xs[len(xs)/2], xs[len(xs)-1]))
+		// xs[:lt] < pivot ≤ xs[lt:gt] ≤ pivot < xs[gt:]: the ranks in the
+		// middle band already hold their values.
+		i, _ := slices.BinarySearch(ks, off+lt)
+		j, _ := slices.BinarySearch(ks, off+gt)
+		selectRanks(xs[:lt], off, ks[:i], depth)
+		xs, off, ks = xs[gt:], off+gt, ks[j:]
+	}
+}
+
+// partition3 reorders xs around p into values below, equal to and
+// above it, returning the bounds of the equal band. Each pass is a
+// branch-free Lomuto sweep: every element is swapped into place and
+// the boundary advances by the comparison's outcome, so shuffled data
+// costs no branch mispredictions.
+func partition3(xs []float64, p float64) (lt, gt int) {
+	for i, v := range xs {
+		xs[i], xs[lt] = xs[lt], v
+		lt += b2i(v < p)
+	}
+	gt = lt
+	for i := lt; i < len(xs); i++ {
+		v := xs[i]
+		xs[i], xs[gt] = xs[gt], v
+		gt += b2i(v <= p)
+	}
+	return lt, gt
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func medianOf3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	return max(a, min(b, c))
+}
+
+// finiteCuts clamps cuts into [-MaxFloat64, MaxFloat64] in place and
+// returns them. An all-missing column's cuts (+Inf by convention) and
+// the order statistics of a column whose tail is ±Inf would otherwise
+// be infinite, which model JSON cannot encode and stream.Load rejects.
+// Every finite value except -MaxFloat64 itself keeps its range.
+func finiteCuts(cuts []float64) []float64 {
+	for i, c := range cuts {
+		cuts[i] = max(-math.MaxFloat64, min(c, math.MaxFloat64))
 	}
 	return cuts
 }
@@ -172,13 +241,17 @@ func Apply(ds *dataset.Dataset, phi int, cuts [][]float64) *Grid {
 	}
 	g := FromCuts(phi, cuts)
 	g.N = ds.N()
-	g.cells = make([]uint16, ds.N()*ds.D())
-	for j := 0; j < ds.D(); j++ {
-		for i, v := range ds.Column(j) {
-			g.cells[i*g.D+j] = g.assign(j, v)
-		}
-	}
+	g.assignCells(ds)
 	return g
+}
+
+// assignCells fills the per-record cell assignments under the grid's
+// cuts, row by row in the dataset's own layout.
+func (g *Grid) assignCells(ds *dataset.Dataset) {
+	g.cells = make([]uint16, g.N*g.D)
+	for i := 0; i < g.N; i++ {
+		g.AssignRowInto(ds.RowView(i), g.cells[i*g.D:(i+1)*g.D])
+	}
 }
 
 // FromCuts reconstructs a grid from previously fitted cut points —
@@ -258,14 +331,24 @@ func (g *Grid) assign(j int, v float64) uint16 {
 	if math.IsNaN(v) {
 		return 0
 	}
-	cuts := g.cuts[j]
 	// First range whose upper boundary is >= v; values above every cut
-	// land in range phi.
-	r := sort.SearchFloat64s(cuts, v)
-	// SearchFloat64s returns the first index with cuts[i] >= v; a value
-	// exactly equal to a boundary belongs to the lower range, which the
-	// search already achieves since cuts[i] >= v includes equality.
-	return uint16(r + 1)
+	// land in range phi. A value exactly equal to a boundary belongs to
+	// the lower range, which cuts[h] >= v includes. This is
+	// sort.SearchFloat64s inlined, bisection for bisection: with NaN
+	// cuts (equi-width over an infinite span) the predicate is not
+	// monotone, and only the same predicate and midpoints keep every
+	// cell where the sort package put it. The step is branch-free:
+	// which half a record falls in is unpredictable, so a branch would
+	// mispredict on about every other step.
+	cuts := g.cuts[j]
+	i, n := 0, len(cuts)
+	for i < n {
+		h := int(uint(i+n) >> 1)
+		ge := b2i(cuts[h] >= v)
+		i += (1 - ge) * (h + 1 - i) // cuts[h] < v: i = h+1
+		n -= ge * (n - h)           // cuts[h] >= v: n = h
+	}
+	return uint16(i + 1)
 }
 
 // Cell returns the 1-based range of record i in dimension j, or 0 when

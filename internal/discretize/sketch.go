@@ -184,8 +184,8 @@ func (s *Sketch) Rank(v float64) float64 {
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) of the stream. An
-// empty sketch reports +Inf, matching the all-missing convention of
-// equiDepthCuts.
+// empty sketch reports +Inf, the all-missing convention before Cuts
+// clamps it.
 func (s *Sketch) Quantile(q float64) float64 {
 	if s.n == 0 {
 		return math.Inf(1)
@@ -215,10 +215,11 @@ func (s *Sketch) Quantile(q float64) float64 {
 // absorbed stream — the online counterpart of equiDepthCuts, and
 // bit-identical to it while the sketch is still exact (no compaction
 // yet). Degenerate windows degrade gracefully: an empty sketch yields
-// all-+Inf cuts (every record lands in range 1 via NaN handling
-// upstream), and windows smaller than phi repeat values, leaving some
+// all-MaxFloat64 cuts (the all-missing convention, clamped finite like
+// every cut), and windows smaller than phi repeat values, leaving some
 // ranges empty exactly as equi-depth histograms do on tiny or
-// tie-heavy data. The result is always valid input for FromCuts/Apply.
+// tie-heavy data. The result is always finite, valid input for
+// FromCuts/Apply and for a saved model.
 func (s *Sketch) Cuts(phi int) []float64 {
 	if phi < 2 || phi > math.MaxUint16 {
 		panic(fmt.Sprintf("discretize: sketch cuts phi=%d out of range [2,%d]", phi, math.MaxUint16))
@@ -228,7 +229,7 @@ func (s *Sketch) Cuts(phi int) []float64 {
 		for i := range cuts {
 			cuts[i] = math.Inf(1)
 		}
-		return cuts
+		return finiteCuts(cuts)
 	}
 	items := s.items()
 	var cum uint64
@@ -250,7 +251,7 @@ func (s *Sketch) Cuts(phi int) []float64 {
 			cuts[r-1] = items[idx].v
 		}
 	}
-	return cuts
+	return finiteCuts(cuts)
 }
 
 // RankErrorBound is a conservative bound on the rank error of Cuts and

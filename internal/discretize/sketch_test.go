@@ -39,26 +39,24 @@ func rankInterval(vals []float64, v float64) (lo, hi float64) {
 
 func TestSketchExactWhileUncompacted(t *testing.T) {
 	// Windows no larger than the capacity never compact, so Cuts must be
-	// bit-identical to the offline sorted pass at every phi.
+	// bit-identical to the offline sorted pass at every phi, on every
+	// shape of the selection differential (random, tie-heavy, NaN-heavy,
+	// ±Inf tails).
 	r := xrand.New(1)
 	for _, n := range []int{1, 2, 3, 7, 50, 512, 1000} {
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = r.NormMS(3, 10)
-		}
-		s := NewSketch()
-		for _, v := range vals {
-			s.Add(v)
-		}
-		if s.RankErrorBound() != 0 {
-			t.Fatalf("n=%d: exact sketch reports error bound %v", n, s.RankErrorBound())
-		}
-		for _, phi := range []int{2, 3, 5, 10} {
-			got := s.Cuts(phi)
-			want := equiDepthCuts(vals, phi)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d phi=%d cut %d: sketch %v, exact %v", n, phi, i, got[i], want[i])
+		for shape := 0; shape < 4; shape++ {
+			vals := randomColumn(r, n, shape)
+			s := NewSketch()
+			for _, v := range vals {
+				s.Add(v)
+			}
+			if s.RankErrorBound() != 0 {
+				t.Fatalf("n=%d: exact sketch reports error bound %v", n, s.RankErrorBound())
+			}
+			for _, phi := range []int{2, 3, 5, 10, 64} {
+				got, want := s.Cuts(phi), sortedEquiDepthCuts(vals, phi)
+				if !sameCuts(got, want, mixesZeros(vals)) {
+					t.Fatalf("n=%d shape %d phi=%d: sketch cuts %v, exact %v", n, shape, phi, got, want)
 				}
 			}
 		}
@@ -174,11 +172,11 @@ func TestSketchDeterministic(t *testing.T) {
 }
 
 func TestSketchDegenerateWindows(t *testing.T) {
-	// Empty sketch: all-+Inf cuts, the all-missing convention.
+	// Empty sketch: the all-missing convention, clamped finite.
 	s := NewSketch()
 	for _, c := range s.Cuts(5) {
-		if !math.IsInf(c, 1) {
-			t.Fatalf("empty sketch cut %v, want +Inf", c)
+		if c != math.MaxFloat64 {
+			t.Fatalf("empty sketch cut %v, want MaxFloat64", c)
 		}
 	}
 	if s.Quantile(0.5) != math.Inf(1) {

@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 
+	"hido/internal/cube"
 	"hido/internal/xrand"
 )
 
@@ -30,24 +31,9 @@ func (g Genome) Clone() Genome {
 	return out
 }
 
-// Key returns a compact map key unique to the genome's contents.
-func (g Genome) Key() string {
-	b := make([]byte, 0, len(g)*3)
-	for i, v := range g {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendUint(b, v)
-	}
-	return string(b)
-}
-
-func appendUint(b []byte, v uint16) []byte {
-	if v >= 10 {
-		b = appendUint(b, v/10)
-	}
-	return append(b, byte('0'+v%10))
-}
+// Key returns the genome's map key: cube.Cube's packed key of the same
+// positions.
+func (g Genome) Key() string { return cube.Cube(g).Key() }
 
 // compare orders two equal-length genomes lexicographically.
 func (g Genome) compare(o Genome) int {
@@ -327,7 +313,7 @@ func (pop *Population) Converged() bool {
 type BestSet struct {
 	m       int
 	entries []BestEntry
-	seen    map[string]int // key → index in entries
+	seen    map[string]struct{} // keys of the retained genomes
 }
 
 // BestEntry is one retained solution.
@@ -341,18 +327,25 @@ func NewBestSet(m int) *BestSet {
 	if m <= 0 {
 		panic("evo: BestSet size must be positive")
 	}
-	return &BestSet{m: m, seen: map[string]int{}}
+	return &BestSet{m: m, seen: map[string]struct{}{}}
 }
 
 // Offer submits a solution. It reports whether the set changed. The
 // genome is cloned on retention.
 func (bs *BestSet) Offer(g Genome, fitness float64) bool {
-	key := g.Key()
-	if _, dup := bs.seen[key]; dup {
+	var buf [32]byte
+	return bs.OfferKey(g, cube.Cube(g).AppendKey(buf[:0]), fitness)
+}
+
+// OfferKey is Offer for a caller that already holds the genome's key
+// bytes (cube.Cube(g).AppendKey); it allocates only when the set
+// changes.
+func (bs *BestSet) OfferKey(g Genome, key []byte, fitness float64) bool {
+	if _, dup := bs.seen[string(key)]; dup {
 		return false
 	}
 	if len(bs.entries) < bs.m {
-		bs.seen[key] = len(bs.entries)
+		bs.seen[string(key)] = struct{}{}
 		bs.entries = append(bs.entries, BestEntry{Genome: g.Clone(), Fitness: fitness})
 		bs.fixupLast()
 		return true
@@ -361,22 +354,18 @@ func (bs *BestSet) Offer(g Genome, fitness float64) bool {
 	if fitness >= bs.entries[bs.m-1].Fitness {
 		return false
 	}
-	evicted := bs.entries[bs.m-1]
-	delete(bs.seen, evicted.Genome.Key())
+	delete(bs.seen, bs.entries[bs.m-1].Genome.Key())
 	bs.entries[bs.m-1] = BestEntry{Genome: g.Clone(), Fitness: fitness}
-	bs.seen[key] = bs.m - 1
+	bs.seen[string(key)] = struct{}{}
 	bs.fixupLast()
 	return true
 }
 
-// fixupLast restores sortedness after the last entry changed,
-// updating the seen map as entries shift.
+// fixupLast restores sortedness after the last entry changed.
 func (bs *BestSet) fixupLast() {
 	i := len(bs.entries) - 1
 	for i > 0 && bs.entries[i].Fitness < bs.entries[i-1].Fitness {
 		bs.entries[i], bs.entries[i-1] = bs.entries[i-1], bs.entries[i]
-		bs.seen[bs.entries[i].Genome.Key()] = i
-		bs.seen[bs.entries[i-1].Genome.Key()] = i - 1
 		i--
 	}
 }

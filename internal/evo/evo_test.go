@@ -2,9 +2,11 @@ package evo
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"hido/internal/cube"
 	"hido/internal/xrand"
 )
 
@@ -15,14 +17,76 @@ func TestGenomeCloneKey(t *testing.T) {
 	if g[0] != 0 {
 		t.Error("Clone shares storage")
 	}
-	if g.Key() != "0,3,0,9" {
-		t.Errorf("Key = %q", g.Key())
+
+	// Genome.Key is cube.Cube.Key of the same positions.
+	r := xrand.New(1)
+	randomGenome := func(d, k int, maxRange uint16) Genome {
+		g := make(Genome, d)
+		for _, j := range r.Sample(d, k) {
+			g[j] = uint16(r.IntRange(1, int(maxRange)))
+		}
+		return g
 	}
-	// keys must be unambiguous across multi-digit values
-	a := Genome{1, 23}
-	b := Genome{12, 3}
-	if a.Key() == b.Key() {
-		t.Errorf("ambiguous keys %q", a.Key())
+	for i := 0; i < 200; i++ {
+		d := 1 + r.Intn(300)
+		g := randomGenome(d, r.Intn(d+1), 65535)
+		if g.Key() != cube.Cube(g).Key() {
+			t.Fatalf("Genome.Key %q differs from Cube.Key %q", g.Key(), cube.Cube(g).Key())
+		}
+	}
+
+	// Distinct genomes of one dimensionality get distinct keys, across
+	// the uvarint width steps of both dimensions (128, 16384) and ranges
+	// (up to 65535), and against multi-digit ambiguity.
+	for _, d := range []int{4, 130, 16390} {
+		keys := map[string]Genome{}
+		add := func(g Genome) {
+			k := g.Key()
+			if prev, ok := keys[k]; ok && !slices.Equal(prev, g) {
+				t.Fatalf("d=%d: genomes share key %q", d, k)
+			}
+			keys[k] = g.Clone()
+		}
+		dims := []int{0, 1, 2, 3}
+		if d > 4 {
+			dims = append(dims, 127, 128, 129)
+		}
+		if d > 16384 {
+			dims = append(dims, 16383, 16384, 16385)
+		}
+		ranges := []uint16{1, 2, 9, 10, 11, 23, 127, 128, 255, 256, 16383, 16384, 65534, 65535}
+		for _, a := range dims {
+			for _, ra := range ranges {
+				add(Genome(cube.FromPairs(d, cube.DimRange{Dim: a, Range: ra})))
+				for _, b := range dims {
+					if b <= a {
+						continue
+					}
+					for _, rb := range ranges {
+						add(Genome(cube.FromPairs(d, cube.DimRange{Dim: a, Range: ra}, cube.DimRange{Dim: b, Range: rb})))
+					}
+				}
+			}
+		}
+		add(make(Genome, d))
+		for i := 0; i < 2000; i++ {
+			add(randomGenome(d, 1+r.Intn(4), 65535))
+		}
+	}
+
+	// Key length grows with k, not with d: the same constraints on a
+	// wider genome give the same key, and each pair adds a bounded
+	// number of bytes.
+	for k := 1; k <= 8; k++ {
+		small := randomGenome(8, k, 9)
+		wide := make(Genome, 20000)
+		copy(wide, small)
+		if small.Key() != wide.Key() {
+			t.Fatalf("k=%d: key depends on d: %q vs %q", k, small.Key(), wide.Key())
+		}
+		if n := len(randomGenome(20000, k, 65535).Key()); n > 6*k {
+			t.Fatalf("k=%d: %d-byte key", k, n)
+		}
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"hido/internal/core"
+	"hido/internal/cube"
 	"hido/internal/dataset"
 	"hido/internal/ensemble"
 	"hido/internal/grid"
@@ -157,36 +159,30 @@ func memberEvidence(projs []core.Projection, cells []uint16) float64 {
 }
 
 // buildUnion deduplicates the members' projections into one flat list —
-// the Alert.Matches index space — ordered by (sparsity ascending, cube
-// key) so the list is deterministic regardless of member order, and
-// fills each member's unionIdx mapping in place.
+// the Alert.Matches index space — ordered by (sparsity ascending,
+// cubeLess) so the list is deterministic regardless of member order,
+// and fills each member's unionIdx mapping in place.
 func buildUnion(members []memberModel) []core.Projection {
-	type entry struct {
-		p   core.Projection
-		key string
-	}
 	seen := make(map[string]bool)
-	var entries []entry
+	var union []core.Projection
 	for _, mm := range members {
 		for _, p := range mm.projections {
 			k := p.Cube.Key()
 			if !seen[k] {
 				seen[k] = true
-				entries = append(entries, entry{p, k})
+				union = append(union, p)
 			}
 		}
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].p.Sparsity != entries[b].p.Sparsity {
-			return entries[a].p.Sparsity < entries[b].p.Sparsity
+	sort.Slice(union, func(a, b int) bool {
+		if union[a].Sparsity != union[b].Sparsity {
+			return union[a].Sparsity < union[b].Sparsity
 		}
-		return entries[a].key < entries[b].key
+		return cubeLess(union[a].Cube, union[b].Cube)
 	})
-	union := make([]core.Projection, len(entries))
-	pos := make(map[string]int, len(entries))
-	for i, e := range entries {
-		union[i] = e.p
-		pos[e.key] = i
+	pos := make(map[string]int, len(union))
+	for i, p := range union {
+		pos[p.Cube.Key()] = i
 	}
 	for mi := range members {
 		mm := &members[mi]
@@ -196,6 +192,23 @@ func buildUnion(members []memberModel) []core.Projection {
 		}
 	}
 	return union
+}
+
+// cubeLess is the union's tie-break between equally sparse cubes of one
+// dimensionality: at the first position where they differ, the two
+// range values compare as decimal strings ("10" sorts before "9"). It
+// is the order the comma-joined decimal cube keys of earlier versions
+// sorted in, kept so saved ensemble models, and Load's rebuild of their
+// union, stay byte-identical across versions.
+func cubeLess(a, b cube.Cube) bool {
+	for j := range a {
+		if a[j] != b[j] {
+			var da, db [5]byte
+			return string(strconv.AppendUint(da[:0], uint64(a[j]), 10)) <
+				string(strconv.AppendUint(db[:0], uint64(b[j]), 10))
+		}
+	}
+	return false
 }
 
 // scoreEnsemble evaluates one record's grid cells against the ensemble
