@@ -9,14 +9,13 @@ import (
 	"hido/internal/core"
 	"hido/internal/discretize"
 	"hido/internal/evo"
-	"hido/internal/grid"
 	"hido/internal/synth"
 )
 
 // AblationResult collects the design-choice ablations DESIGN.md calls
 // out: crossover operator, selection strategy, grid construction,
-// population size, grid resolution, search topology, and the
-// worker-pool/count-cache machinery.
+// population size, grid resolution, search topology, and the worker
+// pools.
 type AblationResult struct {
 	Crossover  []CrossoverAblationRow
 	Selection  []SelectionAblationRow
@@ -44,21 +43,17 @@ type BruteAblationRow struct {
 	Identical bool
 }
 
-// ParallelAblationRow measures one workers × cache cell: several
-// repeated searches with derived seeds (the repeated-search shape of
-// restarts and islands, isolated for measurement), optionally sharing
-// one projection-count cache. Identical reports whether the first
-// run's projections matched the serial reference — the determinism
-// guarantee, re-checked in situ.
+// ParallelAblationRow measures one worker count: several repeated
+// searches with derived seeds (the repeated-search shape of restarts
+// and islands, isolated for measurement). Identical reports whether
+// the first run's projections matched the serial reference — the
+// determinism guarantee, re-checked in situ.
 type ParallelAblationRow struct {
-	Workers      int
-	Cache        bool
-	Quality      float64 // mean over the repeated runs
-	Time         time.Duration
-	Speedup      float64 // serial cache-off wall clock / this cell's
-	Hits, Misses uint64  // shared-cache counters (zero when Cache=false)
-	Size         int     // distinct cube counts memoized (zero when Cache=false)
-	Identical    bool
+	Workers   int
+	Quality   float64 // mean over the repeated runs
+	Time      time.Duration
+	Speedup   float64 // serial wall clock / this cell's
+	Identical bool
 }
 
 // TopologyAblationRow compares search topologies at an equal total
@@ -243,9 +238,8 @@ func RunAblation(opt AblationOptions) (*AblationResult, error) {
 		return nil, err
 	}
 
-	// Workers × shared count cache. Each cell repeats the search with
-	// derived seeds; with the cache enabled, later runs reuse earlier
-	// runs' cube counts exactly as restarts and islands do.
+	// Workers. Each cell repeats the search with derived seeds, as
+	// restarts do.
 	maxW := opt.Workers
 	if maxW <= 0 {
 		maxW = runtime.GOMAXPROCS(0)
@@ -263,49 +257,38 @@ func RunAblation(opt AblationOptions) (*AblationResult, error) {
 	var refProjections []core.Projection
 	var baseTime time.Duration
 	for _, w := range sweep {
-		for _, cached := range []bool{false, true} {
-			var cache *grid.Cache
-			if cached {
-				cache = grid.NewCache(det.Index)
+		start := time.Now()
+		quality := 0.0
+		identical := true
+		for r := 0; r < parallelRuns; r++ {
+			res, err := det.Evolutionary(core.EvoOptions{
+				K: p.K, M: opt.M,
+				Seed:    opt.Seed + uint64(r)*0x9e3779b97f4a7c15,
+				Workers: w,
+			})
+			if err != nil {
+				return nil, err
 			}
-			start := time.Now()
-			quality := 0.0
-			identical := true
-			for r := 0; r < parallelRuns; r++ {
-				res, err := det.Evolutionary(core.EvoOptions{
-					K: p.K, M: opt.M,
-					Seed:    opt.Seed + uint64(r)*0x9e3779b97f4a7c15,
-					Workers: w, Cache: cache,
-				})
-				if err != nil {
-					return nil, err
-				}
-				quality += res.Quality()
-				if r == 0 {
-					if refProjections == nil {
-						refProjections = res.Projections
-					} else {
-						identical = sameProjections(refProjections, res.Projections)
-					}
+			quality += res.Quality()
+			if r == 0 {
+				if refProjections == nil {
+					refProjections = res.Projections
+				} else {
+					identical = sameProjections(refProjections, res.Projections)
 				}
 			}
-			elapsed := time.Since(start)
-			if baseTime == 0 {
-				baseTime = elapsed
-			}
-			row := ParallelAblationRow{
-				Workers: w, Cache: cached,
-				Quality:   quality / parallelRuns,
-				Time:      elapsed,
-				Speedup:   float64(baseTime) / float64(elapsed),
-				Identical: identical,
-			}
-			if cache != nil {
-				st := cache.Stats()
-				row.Hits, row.Misses, row.Size = st.Hits, st.Misses, st.Size
-			}
-			out.Parallel = append(out.Parallel, row)
 		}
+		elapsed := time.Since(start)
+		if baseTime == 0 {
+			baseTime = elapsed
+		}
+		out.Parallel = append(out.Parallel, ParallelAblationRow{
+			Workers:   w,
+			Quality:   quality / parallelRuns,
+			Time:      elapsed,
+			Speedup:   float64(baseTime) / float64(elapsed),
+			Identical: identical,
+		})
 	}
 
 	// Brute-force workers × pruning on the paper's d=20, k=4 reference
@@ -421,15 +404,10 @@ func FormatAblation(r *AblationResult) string {
 		fmt.Fprintf(&b, "  %-15s quality=%.3f distinct=%d evals=%d time=%s\n",
 			row.Name, row.Quality, row.Distinct, row.Evals, row.Time.Round(time.Millisecond))
 	}
-	b.WriteString("parallel ablation (workers × shared count cache, 3 repeated runs):\n")
+	b.WriteString("parallel ablation (workers, 3 repeated runs):\n")
 	for _, row := range r.Parallel {
-		cache := "off"
-		if row.Cache {
-			cache = "on"
-		}
-		fmt.Fprintf(&b, "  w=%-2d cache=%-3s quality=%.3f time=%s speedup=%.2fx hits=%d misses=%d size=%d identical=%v\n",
-			row.Workers, cache, row.Quality, row.Time.Round(time.Millisecond),
-			row.Speedup, row.Hits, row.Misses, row.Size, row.Identical)
+		fmt.Fprintf(&b, "  w=%-2d quality=%.3f time=%s speedup=%.2fx identical=%v\n",
+			row.Workers, row.Quality, row.Time.Round(time.Millisecond), row.Speedup, row.Identical)
 	}
 	b.WriteString("brute-force ablation (workers × coverage pruning, d=20 k=4):\n")
 	for _, row := range r.Brute {

@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenAblationResult is a fixed, fully-populated result so the
 // golden file exercises every section of the report — including the
-// workers × cache table — without depending on timing or hardware.
+// workers table — without depending on timing or hardware.
 func goldenAblationResult() *AblationResult {
 	return &AblationResult{
 		Crossover: []CrossoverAblationRow{
@@ -46,18 +46,9 @@ func goldenAblationResult() *AblationResult {
 			{Name: "islands-3x40", Quality: -3.355, Distinct: 37, Evals: 50104, Time: 1960 * time.Millisecond},
 		},
 		Parallel: []ParallelAblationRow{
-			{Workers: 1, Cache: false, Quality: -3.412, Time: 4510 * time.Millisecond,
-				Speedup: 1.0, Identical: true},
-			{Workers: 1, Cache: true, Quality: -3.412, Time: 3120 * time.Millisecond,
-				Speedup: 1.45, Hits: 30518, Misses: 17693, Size: 17693, Identical: true},
-			{Workers: 2, Cache: false, Quality: -3.412, Time: 2410 * time.Millisecond,
-				Speedup: 1.87, Identical: true},
-			{Workers: 2, Cache: true, Quality: -3.412, Time: 1690 * time.Millisecond,
-				Speedup: 2.67, Hits: 30518, Misses: 17693, Size: 17693, Identical: true},
-			{Workers: 4, Cache: false, Quality: -3.412, Time: 1350 * time.Millisecond,
-				Speedup: 3.34, Identical: true},
-			{Workers: 4, Cache: true, Quality: -3.412, Time: 980 * time.Millisecond,
-				Speedup: 4.60, Hits: 30518, Misses: 17693, Size: 17693, Identical: true},
+			{Workers: 1, Quality: -3.412, Time: 4510 * time.Millisecond, Speedup: 1.0, Identical: true},
+			{Workers: 2, Quality: -3.412, Time: 2410 * time.Millisecond, Speedup: 1.87, Identical: true},
+			{Workers: 4, Quality: -3.412, Time: 1350 * time.Millisecond, Speedup: 3.34, Identical: true},
 		},
 		Brute: []BruteAblationRow{
 			{Workers: 1, Pruning: false, Time: 980 * time.Millisecond,

@@ -2,13 +2,11 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"hido/internal/cube"
 	"hido/internal/evo"
-	"hido/internal/grid"
 	"hido/internal/obs"
 	"hido/internal/stats"
 )
@@ -49,14 +47,6 @@ type BruteForceOptions struct {
 	// serially; negative selects GOMAXPROCS. Results are bit-for-bit
 	// identical at every worker count (see BruteForce).
 	Workers int
-	// Cache optionally shares a memoized projection-count cache across
-	// searches, mirroring EvoOptions.Cache: leaf counts are resolved
-	// through (and stored into) the cache, so a later evolutionary run
-	// or repeated sweep over the same detector reuses them. It must
-	// have been built over this detector's Index; nil keeps the
-	// incremental bitmap counting uncached. The cache changes only
-	// speed, never results.
-	Cache *grid.Cache
 	// DisablePruning turns off coverage pruning, visiting every leaf
 	// like Figure 2 verbatim. The pruned and unpruned searches retain
 	// identical projections (pruned subtrees contain only cubes below
@@ -196,26 +186,15 @@ const (
 // ErrBudgetExceeded; which subtrees completed then depends on
 // scheduling, but the MaxCandidates accounting stays exact.
 func (d *Detector) BruteForce(opt BruteForceOptions) (*Result, error) {
-	if err := validateCache(d, opt.Cache); err != nil {
-		return nil, err
-	}
-	return bruteForceOver(d.source(nil), opt)
+	return BruteForceOver(d.source(), opt)
 }
 
 // BruteForceOver runs the same enumeration against an arbitrary
 // CountSource — the entry point of the distributed fit. The walk
 // depends on the data only through partial-set counts, so any source
 // reporting the counts of the concatenated data reproduces the
-// single-node Result bit for bit. Options bound to a detector's index
-// (Cache) are rejected.
+// single-node Result bit for bit.
 func BruteForceOver(src CountSource, opt BruteForceOptions) (*Result, error) {
-	if opt.Cache != nil {
-		return nil, fmt.Errorf("core: BruteForceOptions.Cache requires a detector-backed search")
-	}
-	return bruteForceOver(src, opt)
-}
-
-func bruteForceOver(src CountSource, opt BruteForceOptions) (*Result, error) {
 	if err := validateKM(src.D(), opt.K, opt.M); err != nil {
 		return nil, err
 	}
@@ -302,7 +281,7 @@ func bruteForceOver(src CountSource, opt BruteForceOptions) (*Result, error) {
 	finalizeOver(src, merged, res)
 	res.Elapsed = time.Since(start)
 	sh.notifyProgress(start)
-	notifySummary(opt.Observer, opt.RunID, "brute", res, sh.budgetHit.Load(), opt.Cache)
+	notifySummary(opt.Observer, opt.RunID, "brute", res, sh.budgetHit.Load())
 	// The final snapshot makes a budget-stopped run resumable; a failed
 	// snapshot surfaces unless the budget error takes precedence (the
 	// partial Result is valid either way).
@@ -436,18 +415,10 @@ func (w *bfWorker) leaf(j int, r uint16, parent Partial) bool {
 	}
 	w.c[j] = r
 	var n int
-	switch {
-	case sh.opt.Cache != nil:
-		n = sh.opt.Cache.CountWith(w.c.Key(), func() int {
-			if parent == nil {
-				return sh.src.CountKey(w.c, w.c.Key())
-			}
-			return parent.Extend(j, r)
-		})
-	case parent == nil:
+	if parent == nil {
 		// k = 1: the top-level prefix is the whole cube.
 		n = sh.src.CountKey(w.c, w.c.Key())
-	default:
+	} else {
 		n = parent.Extend(j, r)
 	}
 	w.evals++

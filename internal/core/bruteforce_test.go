@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hido/internal/cube"
-	"hido/internal/grid"
 	"hido/internal/xrand"
 )
 
@@ -95,48 +94,6 @@ func TestBruteForceNoPruningWhenEmptyAdmitted(t *testing.T) {
 	}
 	if res.Projections[0].Count != 0 {
 		t.Errorf("best projection count = %d, want an empty cube", res.Projections[0].Count)
-	}
-}
-
-// A shared count cache must change only speed: same result, and a
-// second search over the same detector resolves its leaves from the
-// first search's entries.
-func TestBruteForceCacheEquivalence(t *testing.T) {
-	ds := plantedDataset(250, 6, 47)
-	det := NewDetector(ds, 4)
-	base := BruteForceOptions{K: 2, M: 8}
-
-	ref, err := det.BruteForce(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := grid.NewCache(det.Index)
-	withCache := base
-	withCache.Cache = cache
-	got, err := det.BruteForce(withCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "bruteforce/cache", ref, got)
-	st := cache.Stats()
-	if st.Misses == 0 {
-		t.Fatal("cache was never consulted")
-	}
-	if st.Size != ref.Evaluations {
-		t.Errorf("cache holds %d cubes, evaluated %d", st.Size, ref.Evaluations)
-	}
-
-	again, err := det.BruteForce(withCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "bruteforce/cache-rerun", ref, again)
-	st2 := cache.Stats()
-	if st2.Misses != st.Misses {
-		t.Errorf("rerun missed %d times, want 0 new misses", st2.Misses-st.Misses)
-	}
-	if st2.Hits < uint64(ref.Evaluations) {
-		t.Errorf("rerun hit %d times, want >= %d", st2.Hits-st.Hits, ref.Evaluations)
 	}
 }
 

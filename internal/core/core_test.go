@@ -342,7 +342,7 @@ func TestEvolutionaryOnGenerationObserver(t *testing.T) {
 func TestTwoPointCrossoverPaperExample(t *testing.T) {
 	// §2.2: 3*2*1 × 1*33* cut after position 3 → 3*23* and 1*3*1.
 	det := NewDetector(plantedDataset(50, 5, 13), 4)
-	s := &search{src: det.source(nil), opt: EvoOptions{K: 3}.withDefaults(), dims: resolveDims(det.D(), nil), rng: xrand.New(0)}
+	s := &search{src: det.source(), opt: EvoOptions{K: 3}.withDefaults(), dims: resolveDims(det.D(), nil), rng: xrand.New(0)}
 	a := mustGenome(t, "3*2*1")
 	b := mustGenome(t, "1*33*")
 	// Force the cut: try seeds until IntRange(1,4) yields 3.
@@ -636,7 +636,7 @@ func TestAdvise(t *testing.T) {
 // operator-level tests.
 func newTestSearch(det *Detector, opt EvoOptions) *search {
 	return &search{
-		src:   det.source(nil),
+		src:   det.source(),
 		opt:   opt.withDefaults(),
 		dims:  resolveDims(det.D(), opt.Dims),
 		rng:   xrand.New(opt.Seed),

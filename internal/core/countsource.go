@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"hido/internal/bitset"
 	"hido/internal/cube"
 	"hido/internal/grid"
@@ -18,9 +16,9 @@ import (
 // a source that sums per-shard counts (internal/cluster) reproduces
 // the single-node search bit for bit on the concatenated data.
 //
-// The local implementation wraps a Detector's bitmap index (and an
-// optional shared grid.Cache); it is what the Detector methods use, so
-// the seam costs the classic paths nothing but an interface call.
+// The local implementation wraps a Detector's bitmap index; it is what
+// the Detector methods use, so the seam costs the classic paths nothing
+// but an interface call.
 //
 // Implementations must be safe for concurrent use: the worker pools
 // issue counts from several goroutines.
@@ -76,26 +74,17 @@ type Partial interface {
 }
 
 // detectorSource is the local CountSource: the detector's bitmap
-// index, fronted by the optional shared count cache.
-type detectorSource struct {
-	d     *Detector
-	cache *grid.Cache
-}
+// index, counted directly.
+type detectorSource struct{ d *Detector }
 
-// source wraps the detector (and an optional cache already validated
-// against its index) as a CountSource.
-func (d *Detector) source(cache *grid.Cache) detectorSource {
-	return detectorSource{d: d, cache: cache}
-}
+// source wraps the detector as a CountSource.
+func (d *Detector) source() detectorSource { return detectorSource{d} }
 
 func (s detectorSource) N() int   { return s.d.N() }
 func (s detectorSource) D() int   { return s.d.D() }
 func (s detectorSource) Phi() int { return s.d.Phi() }
 
-func (s detectorSource) CountKey(c cube.Cube, key string) int {
-	if s.cache != nil {
-		return s.cache.CountKey(c, key)
-	}
+func (s detectorSource) CountKey(c cube.Cube, _ string) int {
 	return s.d.Index.Count(c)
 }
 
@@ -141,13 +130,4 @@ func (p *bitsetPartial) Extend(j int, r uint16) int {
 
 func (p *bitsetPartial) CopyFrom(other Partial) {
 	p.set.CopyFrom(other.(*bitsetPartial).set)
-}
-
-// validateCache checks that a shared count cache (when present) was
-// built over this detector's index.
-func validateCache(d *Detector, c *grid.Cache) error {
-	if c != nil && c.Index() != d.Index {
-		return fmt.Errorf("core: count cache was built over a different index")
-	}
-	return nil
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"hido/internal/grid"
-)
+import "testing"
 
 // resultsEqual compares everything deterministic about two Results:
 // projections (cube, sparsity, count), the covered point set, and the
@@ -47,8 +43,7 @@ func resultsEqual(t *testing.T, label string, a, b *Result) {
 }
 
 // The parallel evaluator must be invisible in the results: any worker
-// count, with or without a shared count cache, yields the same Result
-// as the serial run.
+// count yields the same Result as the serial run.
 func TestEvolutionaryDeterministicAcrossWorkers(t *testing.T) {
 	ds := plantedDataset(300, 8, 40)
 	det := NewDetector(ds, 4)
@@ -62,18 +57,13 @@ func TestEvolutionaryDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal("reference run found nothing; test dataset too easy to misconfigure silently")
 	}
 	for _, workers := range []int{1, 2, 8} {
-		for _, cached := range []bool{false, true} {
-			o := base
-			o.Workers = workers
-			if cached {
-				o.Cache = grid.NewCache(det.Index)
-			}
-			got, err := det.Evolutionary(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resultsEqual(t, labelWC("evolutionary", workers, cached), ref, got)
+		o := base
+		o.Workers = workers
+		got, err := det.Evolutionary(o)
+		if err != nil {
+			t.Fatal(err)
 		}
+		resultsEqual(t, labelW("evolutionary", workers), ref, got)
 	}
 }
 
@@ -93,19 +83,7 @@ func TestEvolutionaryRestartsDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resultsEqual(t, labelWC("restarts", workers, false), ref, got)
-	}
-	// An explicit shared cache must not change results either.
-	o := base
-	o.Workers = 4
-	o.Cache = grid.NewCache(det.Index)
-	got, err := det.EvolutionaryRestarts(o, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, labelWC("restarts", 4, true), ref, got)
-	if st := o.Cache.Stats(); st.Misses == 0 {
-		t.Error("shared cache was never consulted")
+		resultsEqual(t, labelW("restarts", workers), ref, got)
 	}
 }
 
@@ -128,14 +106,13 @@ func TestEvolutionaryIslandsDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resultsEqual(t, labelWC("islands", workers, false), ref, got)
+		resultsEqual(t, labelW("islands", workers), ref, got)
 	}
 }
 
 // The sharded brute-force enumeration must be invisible in the
-// results: any worker count, with or without a shared count cache,
-// yields the same Result — projections, sparsity values, outliers,
-// Evaluations, Pruned — as the serial run.
+// results: any worker count yields the same Result — projections,
+// sparsity values, outliers, Evaluations, Pruned — as the serial run.
 func TestBruteForceDeterministicAcrossWorkers(t *testing.T) {
 	ds := plantedDataset(350, 9, 45)
 	det := NewDetector(ds, 4)
@@ -149,56 +126,12 @@ func TestBruteForceDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal("reference run found nothing; test dataset too easy to misconfigure silently")
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, cached := range []bool{false, true} {
-			o := base
-			o.Workers = workers
-			if cached {
-				o.Cache = grid.NewCache(det.Index)
-			}
-			got, err := det.BruteForce(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resultsEqual(t, labelWC("bruteforce", workers, cached), ref, got)
+		o := base
+		o.Workers = workers
+		got, err := det.BruteForce(o)
+		if err != nil {
+			t.Fatal(err)
 		}
+		resultsEqual(t, labelW("bruteforce", workers), ref, got)
 	}
-}
-
-// A cache bound to a different detector's index must be rejected, not
-// silently produce wrong counts.
-func TestCacheIndexMismatchRejected(t *testing.T) {
-	detA := NewDetector(plantedDataset(100, 4, 43), 3)
-	detB := NewDetector(plantedDataset(100, 4, 44), 3)
-	opt := EvoOptions{K: 2, M: 3, Seed: 1, MaxGenerations: 3, Cache: grid.NewCache(detB.Index)}
-	if _, err := detA.Evolutionary(opt); err == nil {
-		t.Error("evolutionary accepted a foreign cache")
-	}
-	if _, err := detA.EvolutionaryRestarts(opt, 2); err == nil {
-		t.Error("restarts accepted a foreign cache")
-	}
-	if _, err := detA.EvolutionaryIslands(IslandOptions{Evo: opt}); err == nil {
-		t.Error("islands accepted a foreign cache")
-	}
-	bf := BruteForceOptions{K: 2, M: 3, Cache: grid.NewCache(detB.Index)}
-	if _, err := detA.BruteForce(bf); err == nil {
-		t.Error("brute force accepted a foreign cache")
-	}
-}
-
-func labelWC(algo string, workers int, cached bool) string {
-	l := algo
-	switch workers {
-	case 1:
-		l += "/w1"
-	case 2:
-		l += "/w2"
-	case 4:
-		l += "/w4"
-	case 8:
-		l += "/w8"
-	}
-	if cached {
-		l += "/cache"
-	}
-	return l
 }

@@ -7,7 +7,6 @@ import (
 
 	"hido/internal/cube"
 	"hido/internal/evo"
-	"hido/internal/grid"
 	"hido/internal/obs"
 	"hido/internal/stats"
 	"hido/internal/xrand"
@@ -86,13 +85,6 @@ type EvoOptions struct {
 	// is batched and deduplicated before it fans out, and best-set
 	// offers happen in population order after the barrier.
 	Workers int
-	// Cache optionally shares a memoized projection-count cache across
-	// searches (restarts, islands, repeated runs over one detector).
-	// It must have been built over this detector's Index (see
-	// grid.NewCache); nil keeps counting uncached. The cache changes
-	// only speed, never results: Evaluations still counts this run's
-	// distinct fitness lookups.
-	Cache *grid.Cache
 	// Seed drives all randomness; runs are reproducible per seed.
 	Seed uint64
 	// OnGeneration, when set, observes per-generation statistics.
@@ -163,7 +155,6 @@ type search struct {
 	rng     *xrand.RNG // master stream: selection, pairing, mutation, per-pair seeds
 	bs      *evo.BestSet
 	cache   map[string]fitEntry // run-local fitness memo; also defines Evaluations
-	shared  *grid.Cache         // optional cross-run count cache (detector-backed runs)
 	workers int
 	evals   int
 	ctxs    []*xoverCtx // lazily built per-worker scratch contexts
@@ -192,7 +183,6 @@ func newSearch(src CountSource, opt EvoOptions) *search {
 		rng:     xrand.New(opt.Seed),
 		bs:      evo.NewBestSet(opt.M),
 		cache:   make(map[string]fitEntry),
-		shared:  opt.Cache,
 		workers: resolveWorkers(opt.Workers),
 	}
 }
@@ -219,10 +209,7 @@ func validateEvoOptions(src CountSource, opt EvoOptions) error {
 // the population is scored and recombined by a worker pool; results
 // are identical to the serial run.
 func (d *Detector) Evolutionary(opt EvoOptions) (*Result, error) {
-	if err := validateCache(d, opt.Cache); err != nil {
-		return nil, err
-	}
-	return evolutionaryOver(d.source(opt.Cache), opt)
+	return EvolutionaryOver(d.source(), opt)
 }
 
 // EvolutionaryOver runs the same search against an arbitrary
@@ -230,15 +217,8 @@ func (d *Detector) Evolutionary(opt EvoOptions) (*Result, error) {
 // source sums per-shard cube counts. The trajectory depends on the
 // data only through counts, so any source that reports the counts of
 // the concatenated data reproduces the single-node Result bit for
-// bit. Options bound to a detector's index (Cache) are rejected.
+// bit.
 func EvolutionaryOver(src CountSource, opt EvoOptions) (*Result, error) {
-	if opt.Cache != nil {
-		return nil, fmt.Errorf("core: EvoOptions.Cache requires a detector-backed search")
-	}
-	return evolutionaryOver(src, opt)
-}
-
-func evolutionaryOver(src CountSource, opt EvoOptions) (*Result, error) {
 	if err := validateEvoOptions(src, opt); err != nil {
 		return nil, err
 	}
@@ -303,7 +283,7 @@ func evolutionaryOver(src CountSource, opt EvoOptions) (*Result, error) {
 	res.Evaluations = s.evals
 	finalizeOver(src, s.bs, res)
 	res.Elapsed = time.Since(start)
-	notifySummary(opt.Observer, opt.RunID, "evo", res, false, opt.Cache)
+	notifySummary(opt.Observer, opt.RunID, "evo", res, false)
 	if cp != nil {
 		if err := cp.flush(s, pop, gen, stall); err != nil {
 			return res, err

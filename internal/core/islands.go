@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hido/internal/evo"
-	"hido/internal/grid"
 	"hido/internal/xrand"
 )
 
@@ -55,20 +54,15 @@ func (o IslandOptions) withDefaults() IslandOptions {
 }
 
 // EvolutionaryIslands runs the island-model genetic search. The
-// result's projections are the best M across all islands. Islands
-// share one projection-count cache (Evo.Cache, auto-created when more
-// than one island runs), so a cube counted by any island is free for
-// the rest.
+// result's projections are the best M across all islands.
 func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 	opt = opt.withDefaults()
 	if opt.Islands < 1 || opt.MigrateEvery < 1 || opt.Migrants < 0 {
 		return nil, fmt.Errorf("core: invalid island parameters %+v", opt)
 	}
+	src := d.source()
 	eo := opt.Evo
-	if err := validateEvoOptions(d.source(nil), eo); err != nil {
-		return nil, err
-	}
-	if err := validateCache(d, eo.Cache); err != nil {
+	if err := validateEvoOptions(src, eo); err != nil {
 		return nil, err
 	}
 	if eo.Checkpoint != nil {
@@ -79,10 +73,6 @@ func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 		return nil, fmt.Errorf("core: %d migrants with island size %d", opt.Migrants, eo.PopSize)
 	}
 	start := time.Now()
-
-	if eo.Cache == nil && opt.Islands > 1 {
-		eo.Cache = grid.NewCache(d.Index)
-	}
 
 	// Worker budget: islands evolve concurrently; leftover workers fan
 	// out inside each island's evaluator.
@@ -115,7 +105,7 @@ func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 		// island 0 only.
 		io.OnGeneration = nil
 		io.RunID = fmt.Sprintf("%s.i%d", runID, i)
-		searches[i] = newSearch(d.source(io.Cache), io)
+		searches[i] = newSearch(src, io)
 		islands[i] = evo.NewPopulation(eo.PopSize, d.D())
 	}
 	parallelFor(opt.Islands, outer, func(i int) {
@@ -187,9 +177,9 @@ func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 
 	res.Generations = gen
 	res.Evaluations = sumEvals(searches)
-	finalizeOver(d.source(nil), mergeBestSets(searches, eo.M), res)
+	finalizeOver(src, mergeBestSets(searches, eo.M), res)
 	res.Elapsed = time.Since(start)
-	notifySummary(eo.Observer, runID, "evo-islands", res, false, eo.Cache)
+	notifySummary(eo.Observer, runID, "evo-islands", res, false)
 	return res, nil
 }
 

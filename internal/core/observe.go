@@ -6,7 +6,6 @@ import (
 
 	"hido/internal/cube"
 	"hido/internal/evo"
-	"hido/internal/grid"
 	"hido/internal/obs"
 )
 
@@ -17,16 +16,6 @@ import (
 // (guarded by TestNilObserverZeroAlloc) and an attached observer only
 // ever reads derived snapshots, so Results stay bit-identical with or
 // without one.
-
-// cacheSnapshot converts the shared count cache's counters into the
-// obs wire type; nil cache stays nil (the event omits cache fields).
-func cacheSnapshot(c *grid.Cache) *obs.CacheStats {
-	if c == nil {
-		return nil
-	}
-	st := c.Stats()
-	return &obs.CacheStats{Hits: st.Hits, Misses: st.Misses, Size: st.Size}
-}
 
 // finiteOr0 maps the sentinel non-finite fitness values (+Inf for "no
 // member", NaN for "empty best set") to 0 so trace events stay valid
@@ -72,14 +61,13 @@ func (s *search) notifyGeneration(pop *evo.Population, gen int, converged float6
 			Converged:   st.Converged,
 			Distinct:    st.Distinct,
 			Evaluations: s.evals,
-			Cache:       cacheSnapshot(s.shared),
 		})
 	}
 }
 
 // notifySummary delivers the terminal run record for a finished
 // search; a nil observer returns immediately.
-func notifySummary(o obs.Observer, run, algo string, res *Result, budgetExceeded bool, cache *grid.Cache) {
+func notifySummary(o obs.Observer, run, algo string, res *Result, budgetExceeded bool) {
 	if o == nil {
 		return
 	}
@@ -95,7 +83,6 @@ func notifySummary(o obs.Observer, run, algo string, res *Result, budgetExceeded
 		ConvergedDeJong: res.ConvergedDeJong,
 		BudgetExceeded:  budgetExceeded,
 		Elapsed:         res.Elapsed,
-		Cache:           cacheSnapshot(cache),
 	}
 	if len(res.Projections) > 0 {
 		ev.BestSparsity = res.Projections[0].Sparsity
@@ -126,7 +113,6 @@ func (sh *bfShared) notifyProgress(start time.Time) {
 		Pruned:      sh.pruned.Load(),
 		EvalsPerSec: rate,
 		Elapsed:     elapsed,
-		Cache:       cacheSnapshot(sh.opt.Cache),
 	})
 }
 

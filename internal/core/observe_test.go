@@ -252,7 +252,7 @@ func TestNilObserverZeroAlloc(t *testing.T) {
 	ds := plantedDataset(100, 5, 46)
 	det := NewDetector(ds, 4)
 	opt := EvoOptions{K: 2, M: 4, Seed: 3}.withDefaults()
-	s := newSearch(det.source(opt.Cache), opt)
+	s := newSearch(det.source(), opt)
 	pop := evo.NewPopulation(opt.PopSize, det.D())
 	for i := range pop.Members {
 		s.randomGenome(pop.Members[i])
@@ -262,7 +262,7 @@ func TestNilObserverZeroAlloc(t *testing.T) {
 	}
 
 	res := &Result{Evaluations: 10}
-	if n := testing.AllocsPerRun(100, func() { notifySummary(nil, "evo", "evo", res, false, nil) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { notifySummary(nil, "evo", "evo", res, false) }); n != 0 {
 		t.Errorf("notifySummary with nil observer: %v allocs/run", n)
 	}
 

@@ -22,15 +22,3 @@ func (sh *bfShared) run(workers int) {
 	}
 	wg.Wait()
 }
-
-// BruteForceParallel is BruteForce with an explicit worker count:
-// workers <= 0 selects GOMAXPROCS. It predates BruteForceOptions.Workers
-// and is kept for callers that size the pool at the call site; the
-// result is bit-for-bit identical to BruteForce at any worker count.
-func (d *Detector) BruteForceParallel(opt BruteForceOptions, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = -1
-	}
-	opt.Workers = workers
-	return d.BruteForce(opt)
-}

@@ -7,7 +7,6 @@ import (
 
 	"hido/internal/bitset"
 	"hido/internal/cube"
-	"hido/internal/grid"
 )
 
 // EvolutionaryRestarts runs the genetic search `restarts` times with
@@ -18,16 +17,14 @@ import (
 // projection with S ≤ −3 — union several runs.
 //
 // Restarts execute concurrently on opt.Workers goroutines (the budget
-// is split: surplus workers fan out inside each run's evaluator), and
-// all runs share one projection-count cache — opt.Cache, auto-created
-// when more than one restart runs — so a cube counted by any run is
-// free for the rest. Results are merged in restart order and each run
-// owns a derived seed, so the outcome is identical at every worker
-// count. When opt.OnGeneration is set, runs stay sequential so the
-// callback never executes concurrently. An opt.Observer does NOT
-// serialize the restarts — it must be concurrency-safe, and each
-// restart labels its events with a derived run ID ("evo.r0", "evo.r1",
-// …); a final aggregate summary is emitted under the parent ID.
+// is split: surplus workers fan out inside each run's evaluator).
+// Results are merged in restart order and each run owns a derived
+// seed, so the outcome is identical at every worker count. When
+// opt.OnGeneration is set, runs stay sequential so the callback never
+// executes concurrently. An opt.Observer does NOT serialize the
+// restarts — it must be concurrency-safe, and each restart labels its
+// events with a derived run ID ("evo.r0", "evo.r1", …); a final
+// aggregate summary is emitted under the parent ID.
 //
 // The merged result holds every distinct projection found (up to
 // restarts·M), sorted by ascending sparsity; Outliers is the union of
@@ -35,29 +32,14 @@ import (
 // wall clock), and ConvergedDeJong reports whether every run met the
 // De Jong criterion.
 func (d *Detector) EvolutionaryRestarts(opt EvoOptions, restarts int) (*Result, error) {
-	if err := validateCache(d, opt.Cache); err != nil {
-		return nil, err
-	}
-	if opt.Cache == nil && restarts > 1 {
-		opt.Cache = grid.NewCache(d.Index)
-	}
-	return evolutionaryRestartsOver(d.source(opt.Cache), opt, restarts)
+	return EvolutionaryRestartsOver(d.source(), opt, restarts)
 }
 
 // EvolutionaryRestartsOver is EvolutionaryRestarts against an
 // arbitrary CountSource (see EvolutionaryOver). The source is shared
-// by the concurrent restarts, so it must be safe for concurrent use;
-// no shared grid.Cache is auto-created — a memoizing source provides
-// its own cross-run reuse. Options bound to a detector's index
-// (Cache) are rejected.
+// by the concurrent restarts, so it must be safe for concurrent use; a
+// memoizing source provides its own cross-run reuse.
 func EvolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*Result, error) {
-	if opt.Cache != nil {
-		return nil, fmt.Errorf("core: EvoOptions.Cache requires a detector-backed search")
-	}
-	return evolutionaryRestartsOver(src, opt, restarts)
-}
-
-func evolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*Result, error) {
 	if restarts < 1 {
 		return nil, fmt.Errorf("core: restarts=%d must be positive", restarts)
 	}
@@ -96,7 +78,7 @@ func evolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*R
 		if restarts > 1 {
 			o.RunID = fmt.Sprintf("%s.r%d", runID, r)
 		}
-		results[r], errs[r] = evolutionaryOver(src, o)
+		results[r], errs[r] = EvolutionaryOver(src, o)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -131,7 +113,7 @@ func evolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*R
 	if restarts > 1 {
 		// Each restart already emitted its own summary; this is the
 		// aggregate record for the whole union.
-		notifySummary(opt.Observer, runID, "evo-restarts", merged, false, opt.Cache)
+		notifySummary(opt.Observer, runID, "evo-restarts", merged, false)
 	}
 	return merged, nil
 }
@@ -165,7 +147,7 @@ func (d *Detector) EvolutionarySweepK(opt EvoOptions, kmin, kmax int) (map[int]*
 // "all the sparse projections ... with a sparsity coefficient of -3
 // or less").
 func (r *Result) FilterProjections(d *Detector, threshold float64) *Result {
-	return r.FilterProjectionsOver(d.source(nil), threshold)
+	return r.FilterProjectionsOver(d.source(), threshold)
 }
 
 // FilterProjectionsOver is FilterProjections against an arbitrary

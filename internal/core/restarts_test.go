@@ -138,8 +138,8 @@ func TestBruteForceParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 0} {
-		par, err := det.BruteForceParallel(BruteForceOptions{K: 3, M: 15}, workers)
+	for _, workers := range []int{1, 2, 4, -1} {
+		par, err := det.BruteForce(BruteForceOptions{K: 3, M: 15, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestBruteForceParallelMatchesSequential(t *testing.T) {
 
 func TestBruteForceParallelK1FallsBack(t *testing.T) {
 	det := NewDetector(plantedDataset(100, 4, 35), 4)
-	res, err := det.BruteForceParallel(BruteForceOptions{K: 1, M: 5}, 4)
+	res, err := det.BruteForce(BruteForceOptions{K: 1, M: 5, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestBruteForceParallelK1FallsBack(t *testing.T) {
 
 func TestBruteForceParallelBudget(t *testing.T) {
 	det := NewDetector(plantedDataset(200, 10, 36), 5)
-	res, err := det.BruteForceParallel(BruteForceOptions{K: 3, M: 5, MaxCandidates: 500}, 4)
+	res, err := det.BruteForce(BruteForceOptions{K: 3, M: 5, MaxCandidates: 500, Workers: 4})
 	if err == nil {
 		t.Fatal("budget not reported")
 	}
@@ -186,7 +186,7 @@ func TestBruteForceParallelBudget(t *testing.T) {
 
 func TestBruteForceParallelValidation(t *testing.T) {
 	det := NewDetector(plantedDataset(50, 3, 37), 3)
-	if _, err := det.BruteForceParallel(BruteForceOptions{K: 0, M: 5}, 2); err == nil {
+	if _, err := det.BruteForce(BruteForceOptions{K: 0, M: 5, Workers: 2}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }

@@ -14,10 +14,9 @@
 // Determinism matches the rest of the library: bags and member seeds
 // are derived serially from the master seed before any parallel work
 // starts, members run in fixed result slots on a shared worker pool
-// (surplus workers fan out inside each member's search), all members
-// share one projection-count cache, and combiners are deterministic —
-// so ensemble scores are bit-identical for a given seed at every
-// worker count.
+// (surplus workers fan out inside each member's search), and combiners
+// are deterministic — so ensemble scores are bit-identical for a given
+// seed at every worker count.
 package ensemble
 
 import (
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"hido/internal/core"
-	"hido/internal/grid"
 	"hido/internal/obs"
 	"hido/internal/xrand"
 )
@@ -102,11 +100,6 @@ type Options struct {
 	// golden-ratio increment, so member 0 of a 1-member ensemble runs
 	// with exactly this seed (the differential tests rely on it).
 	Seed uint64
-	// Cache optionally shares a projection-count cache across members
-	// (auto-created when nil and more than one member runs). Cube keys
-	// are global to the detector, so members with different bags still
-	// share counts.
-	Cache *grid.Cache
 	// PopSize, MaxGenerations, and Patience tune the evolutionary
 	// member searches (ignored under BruteAlgo); zero keeps the
 	// core defaults.
@@ -240,18 +233,12 @@ func Fit(d *core.Detector, opt Options) (*Result, error) {
 	if opt.Members < 0 {
 		return nil, fmt.Errorf("ensemble: members=%d must be positive", opt.Members)
 	}
-	if opt.Cache != nil && opt.Cache.Index() != d.Index {
-		return nil, fmt.Errorf("ensemble: count cache was built over a different index")
-	}
 	opt = opt.withDefaults(d)
 	if err := validateOptions(d, opt); err != nil {
 		return nil, err
 	}
 	start := time.Now()
 
-	if opt.Cache == nil && opt.Members > 1 {
-		opt.Cache = grid.NewCache(d.Index)
-	}
 	bags := SampleBags(d.D(), opt.Members, opt.BagSize, opt.Seed)
 
 	w := resolveWorkers(opt.Workers)
@@ -281,7 +268,6 @@ func Fit(d *core.Detector, opt Options) (*Result, error) {
 				K: opt.K, M: opt.M, Dims: bag,
 				MinCoverage: opt.MinCoverage,
 				Workers:     inner,
-				Cache:       opt.Cache,
 				Observer:    opt.Observer,
 				RunID:       runID,
 			})
@@ -293,7 +279,6 @@ func Fit(d *core.Detector, opt Options) (*Result, error) {
 				MaxGenerations: opt.MaxGenerations,
 				Patience:       opt.Patience,
 				Workers:        inner,
-				Cache:          opt.Cache,
 				Seed:           seed,
 				Observer:       opt.Observer,
 				RunID:          runID,

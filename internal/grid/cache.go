@@ -13,15 +13,15 @@ import (
 const cacheShards = 64
 
 // Cache is a sharded, concurrency-safe memo of cube record counts for
-// one Index, keyed by the canonical cube.Key. Independent searches
-// over the same detector — evolutionary restarts, island populations,
-// repeated sweeps — revisit the same cubes constantly; sharing a
-// Cache lets them stop re-counting each other's work.
+// one Index, keyed by the canonical cube.Key. Nothing in the program
+// counts through it: each search run already memoizes its own counts,
+// and separate runs share too few cubes for a shared memo to pay.
+// perfbench's traced fit counts through it to measure how often a
+// fit's restarts revisit each other's cubes.
 //
 // The cache is append-only and unbounded: the key space actually
 // visited by a search is a vanishing fraction of C(d,k)·phi^k, and an
-// entry costs only its key string plus an int. Hit/miss/size counters
-// are exposed for the bench ablations.
+// entry costs only its key string plus an int.
 type Cache struct {
 	ix           *Index
 	shards       [cacheShards]cacheShard
@@ -33,9 +33,7 @@ type cacheShard struct {
 	m  map[string]int
 }
 
-// NewCache returns an empty cache bound to the index. Counts from one
-// index are meaningless for another, so the binding is explicit and
-// checkable (Index).
+// NewCache returns an empty cache counting through the index.
 func NewCache(ix *Index) *Cache {
 	c := &Cache{ix: ix}
 	for i := range c.shards {
@@ -43,9 +41,6 @@ func NewCache(ix *Index) *Cache {
 	}
 	return c
 }
-
-// Index returns the index the cache was built over.
-func (c *Cache) Index() *Index { return c.ix }
 
 // Count returns the number of records inside the cube, memoized.
 func (c *Cache) Count(cb cube.Cube) int { return c.CountKey(cb, cb.Key()) }
@@ -65,30 +60,6 @@ func (c *Cache) CountKey(cb cube.Cube, key string) int {
 	// redundant work but never serialize, and the index is immutable so
 	// every computation stores the same value.
 	n = c.ix.Count(cb)
-	c.misses.Add(1)
-	sh.mu.Lock()
-	sh.m[key] = n
-	sh.mu.Unlock()
-	return n
-}
-
-// CountWith returns the memoized count for key, calling compute on a
-// miss and storing its result. The caller guarantees compute returns
-// the count of the cube the key canonically denotes for this cache's
-// index; the brute-force enumerator uses this to reuse its
-// incrementally maintained partial record sets (one bitmap
-// intersection per leaf) instead of re-intersecting k bitmaps the way
-// Count would on a miss.
-func (c *Cache) CountWith(key string, compute func() int) int {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.RLock()
-	n, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return n
-	}
-	n = compute()
 	c.misses.Add(1)
 	sh.mu.Lock()
 	sh.m[key] = n

@@ -14,9 +14,6 @@ import (
 func TestCacheAgreesWithIndex(t *testing.T) {
 	g, ix := fixture(400, 6, 4, 21, 0.1)
 	c := NewCache(ix)
-	if c.Index() != ix {
-		t.Fatal("cache lost its index binding")
-	}
 	r := xrand.New(5)
 	for trial := 0; trial < 300; trial++ {
 		k := r.IntRange(0, 4)
@@ -42,32 +39,6 @@ func TestCacheAgreesWithIndex(t *testing.T) {
 	c.Reset()
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Size != 0 {
 		t.Errorf("stats %+v after Reset", st)
-	}
-}
-
-// CountWith must call compute exactly once per key, serve repeats from
-// the table, and count the lookups in the same Stats as Count.
-func TestCountWithMemoizes(t *testing.T) {
-	_, ix := fixture(100, 4, 3, 31, 0)
-	c := NewCache(ix)
-	calls := 0
-	compute := func() int { calls++; return 42 }
-	if got := c.CountWith("k1", compute); got != 42 {
-		t.Fatalf("first CountWith = %d, want 42", got)
-	}
-	if got := c.CountWith("k1", compute); got != 42 {
-		t.Fatalf("second CountWith = %d, want 42", got)
-	}
-	if calls != 1 {
-		t.Errorf("compute ran %d times, want 1", calls)
-	}
-	// A different key computes again; its value must not collide.
-	if got := c.CountWith("k2", func() int { return 7 }); got != 7 {
-		t.Fatalf("CountWith(k2) = %d, want 7", got)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 2 || st.Size != 2 {
-		t.Errorf("stats %+v, want 1 hit / 2 misses / size 2", st)
 	}
 }
 

@@ -101,8 +101,7 @@ func TestTracerObserverEventShapes(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	o := tr.Observer()
-	cache := &CacheStats{Hits: 3, Misses: 1, Size: 4}
-	o.OnGeneration(GenerationEvent{Run: "r1", Gen: 7, BestFit: -2, Cache: cache})
+	o.OnGeneration(GenerationEvent{Run: "r1", Gen: 7, BestFit: -2, Evaluations: 40})
 	o.OnProgress(ProgressEvent{Run: "r1", TasksDone: 2, TasksTotal: 10, Evaluations: 100})
 	o.OnDone(SummaryEvent{Run: "r1", Algo: "brute", Evaluations: 100, Elapsed: time.Second})
 	if err := tr.Err(); err != nil {
@@ -116,7 +115,7 @@ func TestTracerObserverEventShapes(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &gen); err != nil {
 		t.Fatal(err)
 	}
-	if gen["ev"] != "generation" || gen["gen"] != 7.0 || gen["cache_hit_rate"] != 0.75 {
+	if gen["ev"] != "generation" || gen["gen"] != 7.0 || gen["evals"] != 40.0 {
 		t.Errorf("generation line: %v", gen)
 	}
 	for i, want := range []string{"generation", "progress", "summary"} {
@@ -160,15 +159,6 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	}
 }
 
-func TestCacheStatsHitRate(t *testing.T) {
-	if r := (CacheStats{}).HitRate(); r != 0 {
-		t.Errorf("empty hit rate = %v", r)
-	}
-	if r := (CacheStats{Hits: 9, Misses: 1}).HitRate(); r != 0.9 {
-		t.Errorf("hit rate = %v, want 0.9", r)
-	}
-}
-
 func TestMulti(t *testing.T) {
 	if Multi(nil, nil) != nil {
 		t.Error("Multi of nils should be nil")
@@ -191,12 +181,11 @@ func TestMulti(t *testing.T) {
 func TestLogObserverLines(t *testing.T) {
 	var buf bytes.Buffer
 	o := NewLogObserver(&buf)
-	o.OnGeneration(GenerationEvent{Run: "evo-1", Gen: 3, BestFit: -2.5, Converged: 0.5,
-		Cache: &CacheStats{Hits: 1, Misses: 1}})
+	o.OnGeneration(GenerationEvent{Run: "evo-1", Gen: 3, BestFit: -2.5, Converged: 0.5, Evaluations: 12})
 	o.OnProgress(ProgressEvent{Run: "brute-1", TasksDone: 1, TasksTotal: 4, Evaluations: 10})
 	o.OnDone(SummaryEvent{Run: "evo-1", Algo: "evo", Projections: 5})
 	out := buf.String()
-	for _, want := range []string{"[evo-1] gen 3", "cache=50%", "[brute-1] 1/4 tasks", "done evo: 5 projections"} {
+	for _, want := range []string{"[evo-1] gen 3", "evals=12", "[brute-1] 1/4 tasks", "done evo: 5 projections"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -8,27 +8,9 @@ import (
 	"time"
 )
 
-// CacheStats is a point-in-time snapshot of a shared projection-count
-// cache (grid.Cache), decoupled from the grid package so obs stays a
-// leaf dependency.
-type CacheStats struct {
-	Hits, Misses uint64
-	Size         int
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (c CacheStats) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
 // GenerationEvent summarizes one evolutionary generation: the fitness
-// distribution, the De Jong convergence fraction, population diversity
-// (distinct genomes), and the shared count-cache counters when a cache
-// is attached.
+// distribution, the De Jong convergence fraction and population
+// diversity (distinct genomes).
 type GenerationEvent struct {
 	Run         string
 	Gen         int
@@ -41,7 +23,6 @@ type GenerationEvent struct {
 	Converged   float64 // fraction of genes meeting the De Jong criterion
 	Distinct    int     // distinct genomes in the population
 	Evaluations int     // cumulative distinct fitness evaluations
-	Cache       *CacheStats
 }
 
 // ProgressEvent is a brute-force heartbeat: subtree tasks completed,
@@ -55,7 +36,6 @@ type ProgressEvent struct {
 	Pruned      uint64 // subtrees skipped by coverage pruning so far
 	EvalsPerSec float64
 	Elapsed     time.Duration
-	Cache       *CacheStats
 }
 
 // SummaryEvent is the terminal record of one search run.
@@ -72,7 +52,6 @@ type SummaryEvent struct {
 	ConvergedDeJong bool
 	BudgetExceeded  bool
 	Elapsed         time.Duration
-	Cache           *CacheStats
 }
 
 // Observer receives search progress. Implementations must be safe for
@@ -179,21 +158,13 @@ func (l *logObserver) printf(format string, args ...any) {
 }
 
 func (l *logObserver) OnGeneration(e GenerationEvent) {
-	cache := ""
-	if e.Cache != nil {
-		cache = fmt.Sprintf(" cache=%.0f%%", 100*e.Cache.HitRate())
-	}
-	l.printf("[%s] gen %-3d best=%.3f mean=%.3f conv=%.0f%% distinct=%d evals=%d%s\n",
-		e.Run, e.Gen, e.BestFit, e.MeanFit, 100*e.Converged, e.Distinct, e.Evaluations, cache)
+	l.printf("[%s] gen %-3d best=%.3f mean=%.3f conv=%.0f%% distinct=%d evals=%d\n",
+		e.Run, e.Gen, e.BestFit, e.MeanFit, 100*e.Converged, e.Distinct, e.Evaluations)
 }
 
 func (l *logObserver) OnProgress(e ProgressEvent) {
-	cache := ""
-	if e.Cache != nil {
-		cache = fmt.Sprintf(" cache=%.0f%%", 100*e.Cache.HitRate())
-	}
-	l.printf("[%s] %d/%d tasks  %d leaves  %d pruned  %.0f evals/s%s\n",
-		e.Run, e.TasksDone, e.TasksTotal, e.Evaluations, e.Pruned, e.EvalsPerSec, cache)
+	l.printf("[%s] %d/%d tasks  %d leaves  %d pruned  %.0f evals/s\n",
+		e.Run, e.TasksDone, e.TasksTotal, e.Evaluations, e.Pruned, e.EvalsPerSec)
 }
 
 func (l *logObserver) OnDone(e SummaryEvent) {
@@ -213,12 +184,8 @@ func NewSlogObserver(l *slog.Logger) Observer {
 type slogObserver struct{ l *slog.Logger }
 
 func (s slogObserver) OnGeneration(e GenerationEvent) {
-	args := []any{"run", e.Run, "gen", e.Gen, "best", e.BestFit, "mean", e.MeanFit,
-		"converged", e.Converged, "distinct", e.Distinct, "evals", e.Evaluations}
-	if e.Cache != nil {
-		args = append(args, "cache_hit_rate", e.Cache.HitRate())
-	}
-	s.l.Debug("generation", args...)
+	s.l.Debug("generation", "run", e.Run, "gen", e.Gen, "best", e.BestFit, "mean", e.MeanFit,
+		"converged", e.Converged, "distinct", e.Distinct, "evals", e.Evaluations)
 }
 
 func (s slogObserver) OnProgress(e ProgressEvent) {
@@ -227,11 +194,7 @@ func (s slogObserver) OnProgress(e ProgressEvent) {
 }
 
 func (s slogObserver) OnDone(e SummaryEvent) {
-	args := []any{"run", e.Run, "algo", e.Algo, "projections", e.Projections,
+	s.l.Info("search done", "run", e.Run, "algo", e.Algo, "projections", e.Projections,
 		"outliers", e.Outliers, "best_sparsity", e.BestSparsity, "evals", e.Evaluations,
-		"elapsed", e.Elapsed.Round(time.Millisecond).String()}
-	if e.Cache != nil {
-		args = append(args, "cache_hit_rate", e.Cache.HitRate())
-	}
-	s.l.Info("search done", args...)
+		"elapsed", e.Elapsed.Round(time.Millisecond).String())
 }

@@ -105,19 +105,8 @@ func (t *Tracer) Observer() Observer {
 
 type traceObserver struct{ t *Tracer }
 
-// cacheFields flattens an optional cache snapshot into the line.
-func cacheFields(line map[string]any, c *CacheStats) {
-	if c == nil {
-		return
-	}
-	line["cache_hits"] = c.Hits
-	line["cache_misses"] = c.Misses
-	line["cache_size"] = c.Size
-	line["cache_hit_rate"] = c.HitRate()
-}
-
 func (o traceObserver) OnGeneration(e GenerationEvent) {
-	fields := map[string]any{
+	o.t.Emit(e.Run, "generation", map[string]any{
 		"gen":         e.Gen,
 		"pop":         e.PopSize,
 		"best":        e.BestFit,
@@ -128,26 +117,22 @@ func (o traceObserver) OnGeneration(e GenerationEvent) {
 		"converged":   e.Converged,
 		"distinct":    e.Distinct,
 		"evals":       e.Evaluations,
-	}
-	cacheFields(fields, e.Cache)
-	o.t.Emit(e.Run, "generation", fields)
+	})
 }
 
 func (o traceObserver) OnProgress(e ProgressEvent) {
-	fields := map[string]any{
+	o.t.Emit(e.Run, "progress", map[string]any{
 		"tasks_done":    e.TasksDone,
 		"tasks_total":   e.TasksTotal,
 		"evals":         e.Evaluations,
 		"pruned":        e.Pruned,
 		"evals_per_sec": e.EvalsPerSec,
 		"elapsed_ms":    float64(e.Elapsed.Microseconds()) / 1000,
-	}
-	cacheFields(fields, e.Cache)
-	o.t.Emit(e.Run, "progress", fields)
+	})
 }
 
 func (o traceObserver) OnDone(e SummaryEvent) {
-	fields := map[string]any{
+	o.t.Emit(e.Run, "summary", map[string]any{
 		"algo":             e.Algo,
 		"evals":            e.Evaluations,
 		"pruned":           e.Pruned,
@@ -159,9 +144,7 @@ func (o traceObserver) OnDone(e SummaryEvent) {
 		"converged_dejong": e.ConvergedDeJong,
 		"budget_exceeded":  e.BudgetExceeded,
 		"elapsed_ms":       float64(e.Elapsed.Microseconds()) / 1000,
-	}
-	cacheFields(fields, e.Cache)
-	o.t.Emit(e.Run, "summary", fields)
+	})
 }
 
 // IDSource mints short process-unique IDs ("req-5f21c3-42"): a random

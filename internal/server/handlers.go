@@ -378,8 +378,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the Prometheus text exposition. Gauges derived
-// from registry state (model count, model ages, fit-cache counters,
-// running jobs) and from the Go runtime (goroutines, heap, GC) are
+// from registry state (model count, model ages, ingest state, running
+// jobs) and from the Go runtime (goroutines, heap, GC) are
 // refreshed at scrape time.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	now := s.cfg.Now()
@@ -388,10 +388,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, n := range names {
 		if e, ok := s.registry.Get(n); ok {
 			s.mModelAge.Set(now.Sub(e.FittedAt).Seconds(), n)
-			st := e.Monitor.FitStats()
-			s.mFitCacheHits.Set(float64(st.Hits), n)
-			s.mFitCacheMisses.Set(float64(st.Misses), n)
-			s.mFitCacheSize.Set(float64(st.Size), n)
 			if e.Monitor.IngestEnabled() {
 				s.mIngestDrift.Set(e.Monitor.Drift(), n)
 				s.mIngestWindow.Set(float64(e.Monitor.IngestStats().WindowRows), n)

@@ -58,8 +58,8 @@ func TestHealthzBuildInfo(t *testing.T) {
 }
 
 // The observability series: per-phase latency histograms, runtime
-// gauges, and per-model fit-cache gauges must all appear in the
-// exposition after one scored request.
+// gauges, and per-model gauges must all appear in the exposition after
+// one scored request.
 func TestMetricsObservabilitySeries(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
@@ -80,9 +80,7 @@ func TestMetricsObservabilitySeries(t *testing.T) {
 		"# TYPE hidod_heap_alloc_bytes gauge",
 		"# TYPE hidod_gc_pause_seconds_total gauge",
 		"# TYPE hidod_gc_cycles_total gauge",
-		`hidod_fit_cache_hits{model="default"}`,
-		`hidod_fit_cache_misses{model="default"}`,
-		`hidod_fit_cache_size{model="default"}`,
+		`hidod_model_age_seconds{model="default"}`,
 	}
 	for _, want := range wants {
 		if !strings.Contains(out, want) {

@@ -226,10 +226,6 @@ type Server struct {
 	mSlow       *metrics.Counter
 	mTraceSpans *metrics.Gauge
 
-	mFitCacheHits   *metrics.Gauge
-	mFitCacheMisses *metrics.Gauge
-	mFitCacheSize   *metrics.Gauge
-
 	mStoreSaves  *metrics.Counter
 	mStoreErrors *metrics.Counter
 
@@ -307,13 +303,6 @@ func New(cfg Config) *Server {
 			"endpoint"),
 		mTraceSpans: reg.Gauge("hidod_trace_spans_recorded_total",
 			"Spans completed into the trace ring since process start (0 when tracing is disabled)."),
-
-		mFitCacheHits: reg.Gauge("hidod_fit_cache_hits",
-			"Projection-count cache hits during each model's last in-process fit.", "model"),
-		mFitCacheMisses: reg.Gauge("hidod_fit_cache_misses",
-			"Projection-count cache misses during each model's last in-process fit.", "model"),
-		mFitCacheSize: reg.Gauge("hidod_fit_cache_size",
-			"Distinct cube counts memoized during each model's last in-process fit.", "model"),
 
 		mStoreSaves: reg.Counter("hidod_store_saves_total",
 			"Registry mutations committed to the on-disk model store, by operation.",

@@ -10,7 +10,6 @@ import (
 	"hido/internal/cube"
 	"hido/internal/dataset"
 	"hido/internal/ensemble"
-	"hido/internal/grid"
 )
 
 // EnsembleOptions selects the subspace-ensemble model kind: Members
@@ -91,14 +90,13 @@ func (m *Monitor) refitEnsemble(reference *dataset.Dataset, det *core.Detector) 
 		return err
 	}
 	advice := det.Advise(m.opt.TargetS)
-	cache := grid.NewCache(det.Index)
 	// MinCoverage -1 for the same reason as the single-search path:
 	// cubes empty in the reference window are the strongest online
 	// alarms.
 	res, err := ensemble.Fit(det, ensemble.Options{
 		Members: eo.Members, BagSize: eo.BagSize, Algo: algo,
 		K: advice.K, M: m.opt.M, MinCoverage: -1, Combiner: comb,
-		Workers: -1, Seed: m.opt.Seed, Cache: cache,
+		Workers: -1, Seed: m.opt.Seed,
 		Observer: m.opt.Observer, RunID: "fit",
 	})
 	if err != nil {
@@ -138,7 +136,6 @@ func (m *Monitor) refitEnsemble(reference *dataset.Dataset, det *core.Detector) 
 	m.names = append([]string(nil), reference.Names...)
 	m.projections = union
 	m.k = advice.K
-	m.fitStats = cache.Stats()
 	m.members = members
 	m.combiner = comb
 	return nil

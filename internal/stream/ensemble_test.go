@@ -9,7 +9,6 @@ import (
 
 	"hido/internal/core"
 	"hido/internal/ensemble"
-	"hido/internal/grid"
 	"hido/internal/xrand"
 )
 
@@ -69,7 +68,7 @@ func TestEnsembleServeMatchesFit(t *testing.T) {
 		comb, _ := ensemble.ParseCombiner(combiner)
 		res, err := ensemble.Fit(det, ensemble.Options{
 			Members: 5, K: advice.K, M: 100, MinCoverage: -1,
-			Combiner: comb, Workers: -1, Seed: 11, Cache: grid.NewCache(det.Index),
+			Combiner: comb, Workers: -1, Seed: 11,
 		})
 		if err != nil {
 			t.Fatal(err)

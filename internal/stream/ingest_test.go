@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hido/internal/obs"
@@ -304,19 +306,19 @@ func TestRefitFromWindowEmpty(t *testing.T) {
 // TestRefitDimMismatchSkipsSearch pins the up-front validation: a
 // mismatched window must be rejected before any search work runs, not
 // after the full evolutionary run. The observer would see generation
-// events if a search started.
+// events if a search started. Ensemble members run in parallel and
+// deliver events from several goroutines, hence the atomic counter.
 func TestRefitDimMismatchSkipsSearch(t *testing.T) {
-	events := 0
-	o := obs.Funcs{Generation: func(obs.GenerationEvent) { events++ }}
+	var events atomic.Int64
+	o := obs.Funcs{Generation: func(obs.GenerationEvent) { events.Add(1) }}
 	m, err := NewMonitor(reference(300, 70), Options{Phi: 5, Seed: 71, Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fitEvents := events
+	fitEvents := events.Load()
 	if fitEvents == 0 {
 		t.Fatal("observer saw no events from the initial fit")
 	}
-	statsBefore := m.FitStats()
 	bad, err := synth.Generate(synth.Config{Name: "bad", N: 200, D: 5}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -324,11 +326,8 @@ func TestRefitDimMismatchSkipsSearch(t *testing.T) {
 	if err := m.Refit(bad); err == nil {
 		t.Fatal("mismatched refit accepted")
 	}
-	if events != fitEvents {
-		t.Errorf("mismatched refit ran %d search generations before failing", events-fitEvents)
-	}
-	if m.FitStats() != statsBefore {
-		t.Error("mismatched refit disturbed fit-cache stats")
+	if n := events.Load(); n != fitEvents {
+		t.Errorf("mismatched refit ran %d search generations before failing", n-fitEvents)
 	}
 
 	// Same for the ensemble path.
@@ -337,42 +336,48 @@ func TestRefitDimMismatchSkipsSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := events
-	eStats := em.FitStats()
+	before := events.Load()
 	if err := em.Refit(bad); err == nil {
 		t.Fatal("mismatched ensemble refit accepted")
 	}
-	if events != before {
-		t.Errorf("mismatched ensemble refit ran %d search generations", events-before)
-	}
-	if em.FitStats() != eStats {
-		t.Error("mismatched ensemble refit disturbed fit-cache stats")
+	if n := events.Load(); n != before {
+		t.Errorf("mismatched ensemble refit ran %d search generations", n-before)
 	}
 }
 
-// TestFitStatsStableOnFailedRefit pins the gauge contract: a refit
-// that fails must leave the previous fit's cache counters exactly as
-// hidod exported them, not zeroed and not half-updated.
-func TestFitStatsStableOnFailedRefit(t *testing.T) {
+// TestFailedRefitKeepsModel pins the swap contract: a refit that fails
+// must leave the previous model exactly as it was — byte-identical
+// when saved, and scoring records as before — not zeroed and not
+// half-updated.
+func TestFailedRefitKeepsModel(t *testing.T) {
 	m, err := NewMonitor(reference(300, 80), Options{Phi: 5, Seed: 81,
 		Ensemble: &EnsembleOptions{Members: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := m.FitStats()
-	if stats.Misses == 0 {
-		t.Fatal("initial fit recorded no cache activity")
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
 	}
+	probe := typical(xrand.New(83))
+	scored := m.Score(probe)
 	// Corrupt the ensemble config so Refit fails at parse time — the
 	// shape of a bad config arriving via a loaded model.
 	m.opt.Ensemble.Algo = "bogus"
 	if err := m.Refit(reference(300, 82)); err == nil {
 		t.Fatal("refit with a bogus ensemble algo succeeded")
 	}
-	if got := m.FitStats(); got != stats {
-		t.Fatalf("failed refit changed fit stats: %+v -> %+v", stats, got)
+	// The options are part of the saved model; undo the corruption so
+	// the comparison sees only what the failed refit could have touched.
+	m.opt.Ensemble.Algo = ""
+	var again bytes.Buffer
+	if err := m.Save(&again); err != nil {
+		t.Fatal(err)
 	}
-	// And the model still serves.
-	r := xrand.New(83)
-	m.Score(typical(r))
+	if !bytes.Equal(again.Bytes(), saved.Bytes()) {
+		t.Error("failed refit changed the saved model")
+	}
+	if got := m.Score(probe); !reflect.DeepEqual(got, scored) {
+		t.Errorf("failed refit changed the score: %+v -> %+v", scored, got)
+	}
 }

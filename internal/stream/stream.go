@@ -27,7 +27,6 @@ import (
 	"hido/internal/dataset"
 	"hido/internal/discretize"
 	"hido/internal/ensemble"
-	"hido/internal/grid"
 	"hido/internal/obs"
 )
 
@@ -107,7 +106,6 @@ type Monitor struct {
 	names       []string
 	projections []core.Projection
 	k           int
-	fitStats    grid.CacheStats // count-cache counters from the last Refit
 	// members and combiner are set only for ensemble models;
 	// projections then holds the deduplicated union of the member
 	// projections (the index space of Alert.Matches).
@@ -141,8 +139,7 @@ func NewMonitor(reference *dataset.Dataset, opt Options) (*Monitor, error) {
 func (m *Monitor) Refit(reference *dataset.Dataset) error {
 	// Reject a mismatched window before discretizing or searching: the
 	// mismatch used to surface only after the full evolutionary run had
-	// burned CPU and fit-cache counters on a result that was then thrown
-	// away.
+	// burned CPU on a result that was then thrown away.
 	if err := m.checkDims(reference.D()); err != nil {
 		return err
 	}
@@ -164,24 +161,19 @@ func (m *Monitor) checkDims(d int) error {
 // refitDetector is Refit from a pre-built detector — the shared tail of
 // the offline path (detector from a full sorted pass over the window)
 // and the streaming path (detector from sketch-derived cuts). On any
-// error the held model, including fitStats, is left untouched.
+// error the held model is left untouched.
 func (m *Monitor) refitDetector(reference *dataset.Dataset, det *core.Detector) error {
 	if m.opt.Ensemble != nil {
 		return m.refitEnsemble(reference, det)
 	}
 	advice := det.Advise(m.opt.TargetS)
-	// An explicit count cache (rather than the one EvolutionaryRestarts
-	// auto-creates) lets the monitor retain its hit/miss/size counters
-	// after the fit — cmd/hidod exposes them as hidod_fit_cache_*
-	// gauges.
-	cache := grid.NewCache(det.Index)
 	// MinCoverage -1 admits cubes that are EMPTY in the reference
 	// window — offline mining discards them (they cover no record),
 	// but online they are the strongest alarms: a new record landing
 	// in a region the reference never occupied.
 	res, err := det.EvolutionaryRestarts(core.EvoOptions{
 		K: advice.K, M: m.opt.M, Seed: m.opt.Seed, MinCoverage: -1,
-		Cache: cache, Observer: m.opt.Observer, RunID: "fit",
+		Observer: m.opt.Observer, RunID: "fit",
 	}, m.opt.Restarts)
 	if err != nil {
 		return err
@@ -199,7 +191,6 @@ func (m *Monitor) refitDetector(reference *dataset.Dataset, det *core.Detector) 
 	m.names = append([]string(nil), reference.Names...)
 	m.projections = res.Projections
 	m.k = advice.K
-	m.fitStats = cache.Stats()
 	m.members = nil
 	return nil
 }
@@ -471,13 +462,4 @@ func (m *Monitor) D() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.grid.D
-}
-
-// FitStats returns the projection-count cache counters from the last
-// Refit (all zero for a model loaded from JSON, which never fitted in
-// this process).
-func (m *Monitor) FitStats() grid.CacheStats {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.fitStats
 }
