@@ -14,6 +14,7 @@ package hido_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -24,6 +25,7 @@ import (
 
 	"hido/internal/batchwire"
 	"hido/internal/bench"
+	"hido/internal/cluster"
 	"hido/internal/core"
 	"hido/internal/cube"
 	"hido/internal/dataset"
@@ -190,6 +192,50 @@ func BenchmarkDiscretize_Musk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		discretize.Fit(ds, 9, discretize.EquiDepth)
+	}
+}
+
+// BenchmarkClusterFit is one distributed fit through the RPC path:
+// Segmentation-profile rows split over three loopback storage shards,
+// φ 6, one seed. A warm-up fit places the global cuts and builds the
+// shard indexes, so each iteration is the steady-state fit: grid push,
+// batched count rounds and cover passes. allocs/op is gated by
+// bench_baseline.json.
+func BenchmarkClusterFit(b *testing.B) {
+	p, err := synth.ProfileByName("Segmentation")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := p.Generate(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const shards = 3
+	var peers []string
+	for i := 0; i < shards; i++ {
+		var rows []int
+		for j := i * ds.N() / shards; j < (i+1)*ds.N()/shards; j++ {
+			rows = append(rows, j)
+		}
+		srv := httptest.NewServer(cluster.NewStorage(ds.SelectRows(rows), nil).Handler())
+		b.Cleanup(srv.Close)
+		peers = append(peers, srv.URL)
+	}
+	co, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Peers: peers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	opt := cluster.FitOptions{Phi: 6, Seed: 1}
+	if _, _, err := co.Fit(ctx, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := co.Fit(ctx, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

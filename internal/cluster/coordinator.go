@@ -62,6 +62,14 @@ type Coordinator struct {
 	totalN int
 	names  []string
 	wires  map[string]wireEntry
+	cuts   cutsEntry // the last fit's global cuts
+}
+
+// cutsEntry holds global cuts with the key they were placed under:
+// the resolution and the shard fingerprints in peer order.
+type cutsEntry struct {
+	key  string
+	cuts [][]float64
 }
 
 // wireEntry is a model marshalled for shard replication, cached per
@@ -524,9 +532,10 @@ func (o FitOptions) withDefaults() FitOptions {
 // Fit mines a model over the union of the shards without ever
 // assembling their data on one node for the search: global equi-depth
 // cuts are placed exactly (a transient row gather — quantiles need a
-// global view), each shard builds its bitmap index under those cuts,
-// and the evolutionary search runs on the select node against a
-// CountSource whose every cube count is the sum of per-shard counts.
+// global view — skipped when the last fit's cuts still apply), each
+// shard builds its bitmap index under those cuts, and the evolutionary
+// search runs on the select node against a CountSource whose every
+// cube count is the sum of per-shard counts.
 // Because the searches are a pure function of those counts, the
 // fitted model is bit-identical to a single-node fit on the
 // concatenated data — same projections, same model JSON.
@@ -549,18 +558,10 @@ func (co *Coordinator) Fit(ctx context.Context, opt FitOptions) (*stream.Monitor
 		return nil, nil, fmt.Errorf("cluster: shards hold no rows")
 	}
 
-	// Exact global cuts: equi-depth boundaries are order statistics of
-	// the full column, which no per-shard summary reproduces exactly,
-	// so the rows are gathered once, discretized, and discarded.
-	concat, err := co.gatherRows(ctx, shards, names)
+	cuts, err := co.globalCuts(ctx, opt.Phi, shards, names)
 	if err != nil {
 		return nil, nil, err
 	}
-	g := discretize.Fit(concat, opt.Phi, discretize.EquiDepth)
-	cuts := g.AllCuts()
-	concat = nil // the gather was transient; counting happens on the shards
-	g = nil
-
 	gid := gridID(opt.Phi, cuts, shards)
 	if err := co.pushGrid(ctx, gid, opt.Phi, cuts, shards); err != nil {
 		return nil, nil, err
@@ -607,6 +608,36 @@ func (co *Coordinator) Fit(ctx context.Context, opt FitOptions) (*stream.Monitor
 		"projections", len(mon.Projections()),
 		"count_cache_hits", hits, "count_cache_misses", misses, "distinct_cubes", size)
 	return mon, buf.Bytes(), nil
+}
+
+// globalCuts returns the exact global equi-depth cuts at phi.
+// Equi-depth boundaries are order statistics of the full column, which
+// no per-shard summary reproduces exactly, so the rows are gathered
+// once, discretized, and discarded. The cuts of the last gather are
+// kept under phi and the shard fingerprints and reused while both
+// match. A shard whose data changed since connect still carries its
+// old fingerprint here, but the grid push names that fingerprint and
+// the shard rejects it, so stale cuts never reach a search.
+func (co *Coordinator) globalCuts(ctx context.Context, phi int, shards []shard, names []string) ([][]float64, error) {
+	key := fmt.Sprint(phi)
+	for _, sh := range shards {
+		key += "," + sh.fp
+	}
+	co.mu.Lock()
+	last := co.cuts
+	co.mu.Unlock()
+	if last.key == key {
+		return last.cuts, nil
+	}
+	concat, err := co.gatherRows(ctx, shards, names)
+	if err != nil {
+		return nil, err
+	}
+	cuts := discretize.Fit(concat, phi, discretize.EquiDepth).AllCuts()
+	co.mu.Lock()
+	co.cuts = cutsEntry{key: key, cuts: cuts}
+	co.mu.Unlock()
+	return cuts, nil
 }
 
 // gatherRows pulls every shard's rows and concatenates them in peer

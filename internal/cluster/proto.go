@@ -370,7 +370,11 @@ type countReq struct {
 	Cubes  []cube.Cube
 }
 
-func (m *countReq) encode() []byte {
+func (m *countReq) encode() []byte { return m.encodeAs(msgCountReq) }
+
+// encodeAs frames the cube list as message type t; count and cover
+// requests share the layout.
+func (m *countReq) encodeAs(t msgType) []byte {
 	var e enc
 	e.str(m.GridID)
 	e.u32(uint32(m.D))
@@ -380,7 +384,7 @@ func (m *countReq) encode() []byte {
 			e.u16(r)
 		}
 	}
-	return encodeFrame(msgCountReq, e.b)
+	return encodeFrame(t, e.b)
 }
 
 func (m *countReq) decode(p []byte) error {
@@ -390,13 +394,15 @@ func (m *countReq) decode(p []byte) error {
 	if d.fail == "" {
 		nc := d.count(2*m.D, "cube")
 		if d.fail == "" {
+			// One backing array for the whole list: a count round
+			// carries thousands of cubes.
+			flat := make([]uint16, nc*m.D)
+			for i := range flat {
+				flat[i] = d.u16()
+			}
 			m.Cubes = make([]cube.Cube, nc)
 			for i := range m.Cubes {
-				c := cube.New(m.D)
-				for j := range c {
-					c[j] = d.u16()
-				}
-				m.Cubes[i] = c
+				m.Cubes[i] = flat[i*m.D : (i+1)*m.D : (i+1)*m.D]
 			}
 		}
 	}
@@ -435,61 +441,49 @@ func (m *countResp) decode(p []byte) error {
 
 // ---- cover ----
 
-// coverReq asks for the local row indices inside one cube; the
-// coordinator offsets them into the global row order.
-type coverReq struct {
-	GridID string
-	Cube   cube.Cube
-}
+// coverReq asks for the local row indices inside each cube of a list —
+// one §2.3 postprocessing pass in one request; the coordinator offsets
+// them into the global row order. Its layout is countReq's, and the
+// storage node decodes both as countReq.
+type coverReq countReq
 
-func (m *coverReq) encode() []byte {
-	var e enc
-	e.str(m.GridID)
-	e.u32(uint32(len(m.Cube)))
-	for _, r := range m.Cube {
-		e.u16(r)
-	}
-	return encodeFrame(msgCoverReq, e.b)
-}
+func (m *coverReq) encode() []byte        { return (*countReq)(m).encodeAs(msgCoverReq) }
+func (m *coverReq) decode(p []byte) error { return (*countReq)(m).decode(p) }
 
-func (m *coverReq) decode(p []byte) error {
-	d := dec{b: p}
-	m.GridID = d.str(maxWireString)
-	nd := d.dims()
-	if d.fail == "" {
-		if int64(nd)*2 != int64(d.remaining()) {
-			d.bad("cover payload carries %d bytes for a %d-dim cube", d.remaining(), nd)
-		}
-	}
-	if d.fail == "" {
-		m.Cube = cube.New(nd)
-		for j := range m.Cube {
-			m.Cube[j] = d.u16()
-		}
-	}
-	return d.err()
-}
-
+// coverResp carries one increasing local index list per requested
+// cube, in request order.
 type coverResp struct {
-	Indices []int // local, increasing
+	Covers [][]int
 }
 
 func (m *coverResp) encode() []byte {
 	var e enc
-	e.u32(uint32(len(m.Indices)))
-	for _, i := range m.Indices {
-		e.u32(uint32(i))
+	e.u32(uint32(len(m.Covers)))
+	for _, idx := range m.Covers {
+		e.u32(uint32(len(idx)))
+		for _, i := range idx {
+			e.u32(uint32(i))
+		}
 	}
 	return encodeFrame(msgCoverResp, e.b)
 }
 
 func (m *coverResp) decode(p []byte) error {
 	d := dec{b: p}
-	n := d.count(4, "index")
+	n := d.count(4, "cover")
 	if d.fail == "" {
-		m.Indices = make([]int, n)
-		for i := range m.Indices {
-			m.Indices[i] = int(d.u32())
+		m.Covers = make([][]int, n)
+		for c := range m.Covers {
+			ni := d.count(4, "index")
+			if d.fail != "" {
+				break
+			}
+			if ni > 0 {
+				m.Covers[c] = make([]int, ni)
+				for i := range m.Covers[c] {
+					m.Covers[c][i] = int(d.u32())
+				}
+			}
 		}
 	}
 	return d.err()

@@ -80,14 +80,17 @@ func TestProtoRoundTrip(t *testing.T) {
 		t.Errorf("countResp: got %+v want %+v", gotCr, cr)
 	}
 
-	cov := &coverReq{GridID: "g-1", Cube: c1}
+	cov := &coverReq{GridID: "g-1", D: 6, Cubes: []cube.Cube{c1, c2}}
 	gotCov := &coverReq{}
 	check("cover", cov, gotCov)
 	if !reflect.DeepEqual(cov, gotCov) {
 		t.Errorf("cover: got %+v want %+v", gotCov, cov)
 	}
+	if typ, _, _ := decodeFrame(cov.encode()); typ != msgCoverReq {
+		t.Errorf("cover request framed as type %d", typ)
+	}
 
-	covR := &coverResp{Indices: []int{1, 5, 9}}
+	covR := &coverResp{Covers: [][]int{{1, 5, 9}, nil, {0}}}
 	gotCovR := &coverResp{}
 	check("coverResp", covR, gotCovR)
 	if !reflect.DeepEqual(covR, gotCovR) {
@@ -192,6 +195,64 @@ func TestDecodeRejectsHostileFrames(t *testing.T) {
 		t.Error("trailing garbage accepted")
 	}
 
+	// Multi-cube cover frames: every strict prefix of a request or a
+	// response payload errors, and so does trailing junk.
+	covValid := [][]byte{
+		(&coverReq{GridID: "g", D: 3, Cubes: []cube.Cube{cube.New(3).With(0, 1), cube.New(3).With(2, 2)}}).encode(),
+		(&coverResp{Covers: [][]int{{0, 4}, nil, {7}}}).encode(),
+	}
+	for _, frame := range covValid {
+		typ, p, err := decodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func(b []byte) error {
+			if typ == msgCoverReq {
+				var m coverReq
+				return m.decode(b)
+			}
+			var m coverResp
+			return m.decode(b)
+		}
+		for i := 0; i < len(p); i++ {
+			if err := decode(p[:i]); err == nil {
+				t.Errorf("truncated type-%d payload of %d/%d bytes decoded", typ, i, len(p))
+			}
+		}
+		if err := decode(append(append([]byte(nil), p...), 0)); err == nil {
+			t.Errorf("type-%d payload with a trailing byte decoded", typ)
+		}
+	}
+
+	// A cube count beyond the cover request's payload, a cover count
+	// beyond the response's, and an index-list count beyond what is
+	// left must be rejected before allocation.
+	var ce enc
+	ce.str("g")
+	ce.u32(3)
+	ce.u32(0x7fffffff)
+	ce.u16(1)
+	var cq coverReq
+	if err := cq.decode(ce.b); err == nil {
+		t.Error("cover request with a billion cubes decoded")
+	}
+	var re enc
+	re.u32(0x7fffffff)
+	re.u32(0)
+	var cr coverResp
+	if err := cr.decode(re.b); err == nil {
+		t.Error("cover response with a billion covers decoded")
+	}
+	var le enc
+	le.u32(2)
+	le.u32(1)
+	le.u32(5)
+	le.u32(0x7fffffff)
+	le.u32(6)
+	if err := cr.decode(le.b); err == nil {
+		t.Error("cover response with an oversized index list decoded")
+	}
+
 	// Every strict prefix of a trace-response payload must error: span
 	// and attr lists truncate at arbitrary byte positions.
 	tvalid := (&traceResp{Spans: []obs.SpanData{{TraceID: "t-1", SpanID: "s-1",
@@ -231,8 +292,10 @@ func FuzzClusterDecode(f *testing.F) {
 		(&gridReq{GridID: "g", DataFP: "d", Phi: 4, Cuts: [][]float64{{1, 2, 3}}}).encode(),
 		(&countReq{GridID: "g", D: 4, Cubes: []cube.Cube{c}}).encode(),
 		(&countResp{Counts: []int{3}}).encode(),
-		(&coverReq{GridID: "g", Cube: c}).encode(),
-		(&coverResp{Indices: []int{0, 2}}).encode(),
+		(&coverReq{GridID: "g", D: 4, Cubes: []cube.Cube{c}}).encode(),
+		(&coverReq{GridID: "g", D: 4, Cubes: []cube.Cube{c, cube.New(4).With(0, 1)}}).encode(),
+		(&coverResp{Covers: [][]int{{0, 2}}}).encode(),
+		(&coverResp{Covers: [][]int{{0, 2}, nil, {5}}}).encode(),
 		(&modelPush{FP: "m-1", JSON: []byte("{}")}).encode(),
 		(&scoreReq{ModelFP: "m-1", N: 1, D: 2, Workers: 1, Values: []float64{nan, 1}}).encode(),
 		(&scoreResp{Alerts: []wireAlert{{Score: nan, Matches: []int{1}}}}).encode(),

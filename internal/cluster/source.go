@@ -18,9 +18,11 @@ import (
 // concatenated data.
 //
 // Counts are memoized (searches revisit cubes constantly; an RPC per
-// revisit would be pathological) and misses are resolved in one
-// batched RPC per shard per CountBatch call — one round trip per
-// search generation, not one per cube.
+// revisit would be pathological), and Source is a core.BatchSource:
+// the misses of each batch travel in one count RPC per shard. A
+// search generation sends one batch per crossover round plus one for
+// its evaluation — at most k+1 round trips at the advisor's k ≤ 6 —
+// and each §2.3 postprocessing pass sends one cover RPC per shard.
 //
 // core.CountSource has no error returns: a search cannot surface an
 // RPC failure mid-generation. Source therefore latches the first
@@ -75,80 +77,121 @@ func (s *Source) latch(err error) {
 
 // CountKey returns the global count of rows inside c.
 func (s *Source) CountKey(c cube.Cube, key string) int {
-	s.mu.Lock()
-	if n, ok := s.memo[key]; ok {
-		s.hits++
-		s.mu.Unlock()
-		return n
-	}
-	s.mu.Unlock()
-	counts, err := s.co.remoteCounts(s.ctx, s.gridID, []cube.Cube{c})
-	if err != nil {
-		s.latch(err)
-		return 0
-	}
-	s.mu.Lock()
-	s.memo[key] = counts[0]
-	s.misses++
-	s.mu.Unlock()
-	return counts[0]
+	return s.CountBatch([]cube.Cube{c}, []string{key}, 0)[0]
 }
 
-// CountBatch resolves a generation's worth of cubes: memo hits are
-// answered locally, the distinct misses travel in a single count RPC
-// per shard, and the sums land back in the memo.
+// lookup answers a count from the memo. The key may alias a reused
+// buffer: a hit allocates nothing.
+func (s *Source) lookup(key []byte) (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, ok := s.memo[string(key)]
+	if ok {
+		s.hits++
+	}
+	return n, ok
+}
+
+// CountBatch resolves a batch of cubes: memo hits are answered
+// locally, the distinct misses travel in a single count RPC per
+// shard, and the sums land back in the memo.
 func (s *Source) CountBatch(cs []cube.Cube, keys []string, workers int) []int {
 	out := make([]int, len(cs))
-	var missCubes []cube.Cube
-	var missKeys []string
-	pending := map[string]bool{}
+	var miss []int             // positions of the distinct misses
+	var pending map[string]int // miss key → its index in miss
 	s.mu.Lock()
 	for i, k := range keys {
 		if n, ok := s.memo[k]; ok {
 			out[i] = n
 			s.hits++
-		} else if !pending[k] {
-			pending[k] = true
-			missCubes = append(missCubes, cs[i])
-			missKeys = append(missKeys, k)
+		} else if _, dup := pending[k]; dup {
+			s.hits++
+		} else {
+			if pending == nil {
+				pending = map[string]int{}
+			}
+			pending[k] = len(miss)
+			miss = append(miss, i)
 		}
 	}
 	s.mu.Unlock()
-	if len(missCubes) == 0 {
+	if len(miss) == 0 {
 		return out
+	}
+	missCubes := make([]cube.Cube, len(miss))
+	for m, i := range miss {
+		missCubes[m] = cs[i]
 	}
 	counts, err := s.co.remoteCounts(s.ctx, s.gridID, missCubes)
 	if err != nil {
 		s.latch(err)
-		counts = make([]int, len(missCubes))
+		counts = make([]int, len(miss))
 	}
 	s.mu.Lock()
-	for i, k := range missKeys {
-		s.memo[k] = counts[i]
+	for m, i := range miss {
+		s.memo[keys[i]] = counts[m]
 		s.misses++
 	}
-	for i, k := range keys {
-		out[i] = s.memo[k]
-	}
 	s.mu.Unlock()
+	for i, k := range keys {
+		if m, ok := pending[k]; ok {
+			out[i] = counts[m]
+		}
+	}
 	return out
 }
 
-// Cover returns the global row indices inside c: each shard's local
-// cover shifted by its offset, concatenated in peer order. Local
-// covers are ascending and shard ranges are disjoint and ordered, so
-// the concatenation is the ascending global cover — the same order a
-// single-node index produces.
+// ExtendBatch answers one crossover round (core.BatchSource): each
+// extension's key is built in its partial's buffer, memo hits answer
+// without allocating, and only the misses get a cube and a key string
+// of their own before travelling in one CountBatch.
+func (s *Source) ExtendBatch(xs []core.Extension) []int {
+	out := make([]int, len(xs))
+	var at []int
+	var cs []cube.Cube
+	var keys []string
+	for i, x := range xs {
+		p := x.P.(*remotePartial)
+		key := p.extendedKey(x.J, x.R)
+		if n, ok := s.lookup(key); ok {
+			out[i] = n
+			continue
+		}
+		at = append(at, i)
+		cs = append(cs, p.c.With(x.J, x.R))
+		keys = append(keys, string(key))
+	}
+	if len(cs) > 0 {
+		for m, n := range s.CountBatch(cs, keys, 0) {
+			out[at[m]] = n
+		}
+	}
+	return out
+}
+
+// Cover returns the global row indices inside c.
 func (s *Source) Cover(c cube.Cube) []int {
+	return s.CoverBatch([]cube.Cube{c})[0]
+}
+
+// CoverBatch returns the global row indices inside each cube, in one
+// cover RPC per shard: each shard's local covers shifted by its
+// offset, concatenated in peer order. Local covers are ascending and
+// shard ranges are disjoint and ordered, so each concatenation is the
+// ascending global cover — the same order a single-node index
+// produces.
+func (s *Source) CoverBatch(cs []cube.Cube) [][]int {
+	out := make([][]int, len(cs))
 	shards, _, _, err := s.co.topology(s.ctx)
 	if err != nil {
 		s.latch(err)
-		return nil
+		return out
 	}
-	covers := make([][]int, len(shards))
+	req := coverReq{GridID: s.gridID, D: s.d, Cubes: cs}
+	frame := req.encode()
+	perShard := make([][][]int, len(shards))
 	errs := s.co.eachPeer(func(i int, peer string) error {
-		req := coverReq{GridID: s.gridID, Cube: c}
-		payload, err := s.co.client.Call(s.ctx, peer, "cover", req.encode(), msgCoverResp)
+		payload, err := s.co.client.Call(s.ctx, peer, "cover", frame, msgCoverResp)
 		if err != nil {
 			return err
 		}
@@ -156,77 +199,86 @@ func (s *Source) Cover(c cube.Cube) []int {
 		if err := resp.decode(payload); err != nil {
 			return err
 		}
-		covers[i] = resp.Indices
+		if len(resp.Covers) != len(cs) {
+			return fmt.Errorf("cluster: peer %s covered %d of %d cubes", peer, len(resp.Covers), len(cs))
+		}
+		perShard[i] = resp.Covers
 		return nil
 	})
-	var all []int
 	for i, err := range errs {
 		if err != nil {
 			s.latch(fmt.Errorf("cover from %s: %w", shards[i].peer, err))
-			return nil
-		}
-		for _, idx := range covers[i] {
-			all = append(all, shards[i].offset+idx)
+			return make([][]int, len(cs))
 		}
 	}
-	return all
+	for c := range cs {
+		for i, covers := range perShard {
+			for _, idx := range covers[c] {
+				out[c] = append(out[c], shards[i].offset+idx)
+			}
+		}
+	}
+	return out
 }
 
 // NewPartial returns a Partial over the distributed counts. Every
 // search constrains each dimension at most once between Resets, so a
 // partial is faithfully represented by the cube of its constraints —
-// each Count/Extend resolves through the memoized CountKey, hitting
-// the wire only for cubes this fit has never counted.
+// each Count/Extend resolves through the memo, hitting the wire only
+// for cubes this fit has never counted.
 func (s *Source) NewPartial() core.Partial {
-	return &remotePartial{s: s}
+	return &remotePartial{s: s, c: cube.New(s.d)}
 }
 
-// remotePartial accumulates constraints as a cube and counts through
-// the Source. The cube is dense (one position per dimension); cur()
-// allocates it on first touch and With clones on every constraint, so
-// partials never alias each other's state.
+// remotePartial accumulates constraints in a cube it owns, constrained
+// and copied in place, and builds lookup keys in a reused buffer.
 type remotePartial struct {
-	s *Source
-	c cube.Cube
+	s   *Source
+	c   cube.Cube
+	key []byte
 }
 
-func (p *remotePartial) cur() cube.Cube {
-	if p.c == nil {
-		p.c = cube.New(p.s.d)
-	}
-	return p.c
-}
+func (p *remotePartial) Reset() { clear(p.c) }
 
-func (p *remotePartial) Reset() { p.c = cube.New(p.s.d) }
-
-func (p *remotePartial) Constrain(j int, r uint16) {
-	p.c = p.cur().With(j, r)
-}
+func (p *remotePartial) Constrain(j int, r uint16) { p.c[j] = r }
 
 func (p *remotePartial) ConstrainFrom(parent core.Partial, j int, r uint16) int {
-	p.c = parent.(*remotePartial).cur().With(j, r)
+	copy(p.c, parent.(*remotePartial).c)
+	p.c[j] = r
 	return p.Count()
 }
 
 func (p *remotePartial) Count() int {
-	if p.c == nil || p.c.K() == 0 {
+	if p.c.K() == 0 {
 		return p.s.n
 	}
-	return p.s.CountKey(p.c, p.c.Key())
+	p.key = p.c.AppendKey(p.key[:0])
+	if n, ok := p.s.lookup(p.key); ok {
+		return n
+	}
+	return p.s.CountKey(p.c, string(p.key))
 }
 
 func (p *remotePartial) Extend(j int, r uint16) int {
-	ext := p.cur().With(j, r)
-	return p.s.CountKey(ext, ext.Key())
+	key := p.extendedKey(j, r)
+	if n, ok := p.s.lookup(key); ok {
+		return n
+	}
+	return p.s.CountKey(p.c.With(j, r), string(key))
+}
+
+// extendedKey builds the key of the partial's cube with range r on
+// dimension j into the partial's buffer.
+func (p *remotePartial) extendedKey(j int, r uint16) []byte {
+	old := p.c[j]
+	p.c[j] = r
+	p.key = p.c.AppendKey(p.key[:0])
+	p.c[j] = old
+	return p.key
 }
 
 func (p *remotePartial) CopyFrom(other core.Partial) {
-	o := other.(*remotePartial)
-	if o.c == nil {
-		p.c = nil
-		return
-	}
-	p.c = o.c.Clone()
+	copy(p.c, other.(*remotePartial).c)
 }
 
 // remoteCounts sums one batch of cube counts across every shard. All

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"hido/internal/cube"
 	"hido/internal/dataset"
 	"hido/internal/discretize"
 	"hido/internal/grid"
@@ -330,47 +331,51 @@ func (st *Storage) lookupGrid(id string) (*grid.Index, int, error) {
 	return ix, st.gridPhi[id], nil
 }
 
-func (st *Storage) rpcCount(payload []byte) ([]byte, error) {
+// gridCubes decodes a count or cover request, resolves its grid, and
+// checks the cubes' dimensionality and cells.
+func (st *Storage) gridCubes(payload []byte, rpc string) (*grid.Index, []cube.Cube, error) {
 	var req countReq
 	if err := req.decode(payload); err != nil {
-		return nil, rpcErrorf(http.StatusBadRequest, "%v", err)
+		return nil, nil, rpcErrorf(http.StatusBadRequest, "%v", err)
 	}
 	ix, phi, err := st.lookupGrid(req.GridID)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if req.D != st.ds.D() {
-		return nil, rpcErrorf(http.StatusConflict,
-			"cluster: count over %d dims, shard has %d", req.D, st.ds.D())
+		return nil, nil, rpcErrorf(http.StatusConflict,
+			"cluster: %s over %d dims, shard has %d", rpc, req.D, st.ds.D())
 	}
-	resp := countResp{Counts: make([]int, len(req.Cubes))}
 	for i, c := range req.Cubes {
 		if !c.Valid(phi) {
-			return nil, rpcErrorf(http.StatusBadRequest,
-				"cluster: cube %d has cells outside [0,%d]", i, phi)
+			return nil, nil, rpcErrorf(http.StatusBadRequest,
+				"cluster: %s cube %d has cells outside [0,%d]", rpc, i, phi)
 		}
+	}
+	return ix, req.Cubes, nil
+}
+
+func (st *Storage) rpcCount(payload []byte) ([]byte, error) {
+	ix, cs, err := st.gridCubes(payload, "count")
+	if err != nil {
+		return nil, err
+	}
+	resp := countResp{Counts: make([]int, len(cs))}
+	for i, c := range cs {
 		resp.Counts[i] = ix.Count(c)
 	}
 	return resp.encode(), nil
 }
 
 func (st *Storage) rpcCover(payload []byte) ([]byte, error) {
-	var req coverReq
-	if err := req.decode(payload); err != nil {
-		return nil, rpcErrorf(http.StatusBadRequest, "%v", err)
-	}
-	ix, phi, err := st.lookupGrid(req.GridID)
+	ix, cs, err := st.gridCubes(payload, "cover")
 	if err != nil {
 		return nil, err
 	}
-	if len(req.Cube) != st.ds.D() {
-		return nil, rpcErrorf(http.StatusConflict,
-			"cluster: cover cube has %d dims, shard has %d", len(req.Cube), st.ds.D())
+	resp := coverResp{Covers: make([][]int, len(cs))}
+	for i, c := range cs {
+		resp.Covers[i] = ix.Cover(c).Indices()
 	}
-	if !req.Cube.Valid(phi) {
-		return nil, rpcErrorf(http.StatusBadRequest, "cluster: cover cube has out-of-range cells")
-	}
-	resp := coverResp{Indices: ix.Cover(req.Cube).Indices()}
 	return resp.encode(), nil
 }
 

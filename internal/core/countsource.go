@@ -73,6 +73,42 @@ type Partial interface {
 	CopyFrom(other Partial)
 }
 
+// BatchSource is an optional extension of CountSource for sources
+// whose counts cost a round trip, such as the cluster fan-out. The
+// optimized crossover hands it every Partial.Extend of a round, across
+// all pairs of a generation, in one ExtendBatch call, and the §2.3
+// postprocessing hands it every cover of a pass in one CoverBatch.
+// Other sources are extended in place on the worker pool.
+type BatchSource interface {
+	CountSource
+	// ExtendBatch returns xs[i].P.Extend(xs[i].J, xs[i].R) for every
+	// i. The partials must come from this source.
+	ExtendBatch(xs []Extension) []int
+	// CoverBatch returns Cover(cs[i]) for every i.
+	CoverBatch(cs []cube.Cube) [][]int
+}
+
+// Extension is one Partial.Extend request of a crossover round: the
+// cardinality P would have after Constrain(J, R).
+type Extension struct {
+	P Partial
+	J int
+	R uint16
+}
+
+// coverAll returns src.Cover(c) for every cube, in one call when the
+// source batches.
+func coverAll(src CountSource, cs []cube.Cube) [][]int {
+	if bs, ok := src.(BatchSource); ok && len(cs) > 0 {
+		return bs.CoverBatch(cs)
+	}
+	out := make([][]int, len(cs))
+	for i, c := range cs {
+		out[i] = src.Cover(c)
+	}
+	return out
+}
+
 // detectorSource is the local CountSource: the detector's bitmap
 // index, counted directly.
 type detectorSource struct{ d *Detector }

@@ -1,166 +1,136 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"hido/internal/cube"
 	"hido/internal/evo"
 	"hido/internal/xrand"
 )
 
-// xoverCtx carries the per-worker state of the crossover operator: a
-// private RNG stream, reusable partial record sets, and an evaluation
-// counter drained by the scheduler after each pair. One ctx serves one
-// goroutine at a time, so none of it needs locking.
-type xoverCtx struct {
-	s       *search
-	rng     *xrand.RNG
-	evals   int
-	partial Partial
-	scratch []Partial
+// A crossover round carries at most 2·xPrefixes = 64 Type II leaves
+// per pair, two extensions of each of the pair's prefix partials.
+const (
+	xPrefixBits = 5
+	xPrefixes   = 1 << xPrefixBits
+)
+
+// Crossover stages of one pair.
+const (
+	xTwoPoint = iota // recombined in start; no rounds
+	xTypeII          // exhaustive Type II leaves, one block of prefixes per round
+	xGreedyII        // Type II fallback, one differing position per round
+	xTypeIII         // one greedy Type III step per round
+)
+
+// xpair is one pair's crossover in progress. The optimized operator
+// (Figure 5) advances a round at a time: queue appends the counts the
+// round needs as Partial.Extend requests, and advance consumes them.
+// A pair's state lives on the search and is reused by the pair in the
+// same slot next generation, so steady state allocates nothing.
+type xpair struct {
+	s     *search
+	rng   *xrand.RNG
+	own   xrand.RNG  // the pair's private stream, drawn from the master
+	a, b  evo.Genome // parents; finish overwrites them with the children
+	evals int
+
+	stage int
+	round int // Type II: prefix block; greedy II: diff index; Type III: steps taken
+	need  int // Type III steps to take
+
+	child evo.Genome
+	// fromA[j] records which parent child position j derives from, so
+	// the complementary child can invert the derivation.
+	fromA  []bool
+	equal  []int // both parents constrained, equal values
+	diff   []int // both parents constrained, differing values (k'')
+	cands  []xcand
+	best   int       // lowest Type II leaf count so far (-1: none)
+	leaf   int       // its leaf index
+	base   Partial   // the child's constraints so far
+	prefix []Partial // Type II prefixes of the current round
+	xs     []Extension
+	counts []int
 }
 
-func newXoverCtx(s *search) *xoverCtx {
-	return &xoverCtx{s: s, partial: s.src.NewPartial()}
-}
-
-// takeEvals drains the context's evaluation counter.
-func (x *xoverCtx) takeEvals() int {
-	n := x.evals
-	x.evals = 0
-	return n
-}
-
-// scratchAt returns the depth-th scratch partial, growing on demand.
-// Buffers persist across pairs, so steady state allocates nothing.
-func (x *xoverCtx) scratchAt(depth int) Partial {
-	for len(x.scratch) <= depth {
-		x.scratch = append(x.scratch, x.s.src.NewPartial())
-	}
-	return x.scratch[depth]
+// xcand is a Type III candidate: the one parent range at a position
+// where the other parent is '*'. A consumed candidate has pos < 0.
+type xcand struct {
+	pos   int
+	rng   uint16
+	fromA bool
 }
 
 // crossoverAll matches the population pairwise and replaces each pair
-// with its two children (Figure 5's outer loop). Pairs are recombined
-// by the worker pool; determinism across worker counts holds because
-// one RNG seed per pair is drawn from the master stream before the
-// fan-out, so each pair's stochastic choices are independent of
-// scheduling, and pairs write disjoint population slots.
+// with its two children (Figure 5's outer loop). One RNG seed per pair
+// is drawn from the master stream before any pair runs, so each pair's
+// stochastic choices are independent of scheduling, and pairs write
+// disjoint population slots. A BatchSource receives each round's
+// extensions across all pairs in one call; any other source runs each
+// pair to completion on the worker pool. Either way every pair makes
+// the same choices from the same counts.
 func (s *search) crossoverAll(pop *evo.Population) {
 	pairs := pop.Pairs(s.rng)
-	seeds := make([]uint64, len(pairs))
-	for i := range seeds {
-		seeds[i] = s.rng.Uint64()
+	for len(s.pairs) < len(pairs) {
+		s.pairs = append(s.pairs, &xpair{s: s})
 	}
-	pairEvals := make([]int, len(pairs))
-	s.forEachPair(len(pairs), func(ctx *xoverCtx, i int) {
-		ctx.rng = xrand.New(seeds[i])
-		pair := pairs[i]
-		a, b := pop.Members[pair[0]], pop.Members[pair[1]]
-		var ca, cb evo.Genome
-		switch s.opt.Crossover {
-		case OptimizedCrossover:
-			ca, cb = ctx.recombine(a, b)
-		case TwoPointCrossover:
-			ca, cb = ctx.twoPoint(a, b)
-		default:
-			panic("core: unknown crossover kind")
-		}
-		pop.Members[pair[0]], pop.Members[pair[1]] = ca, cb
-		pairEvals[i] = ctx.takeEvals()
-		// Fitness is stale until re-evaluated by the caller.
-	})
-	for _, e := range pairEvals {
-		s.evals += e
+	xs := s.pairs[:len(pairs)]
+	for i, pr := range pairs {
+		x := xs[i]
+		x.own = *xrand.New(s.rng.Uint64())
+		x.start(pop.Members[pr[0]], pop.Members[pr[1]], &x.own)
+	}
+	if bs, ok := s.src.(BatchSource); ok {
+		s.batchedRounds(bs, xs)
+	} else {
+		parallelFor(len(xs), s.workers, func(i int) { xs[i].run() })
+	}
+	for _, x := range xs {
+		x.finish()
+		s.evals += x.evals
 	}
 }
 
-// forEachPair runs fn(ctx, i) for every i in [0, n) on up to
-// s.workers goroutines, handing each goroutine its own reusable
-// xoverCtx. With one worker it runs inline.
-func (s *search) forEachPair(n int, fn func(ctx *xoverCtx, i int)) {
-	workers := s.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		ctx := s.serialCtx()
-		for i := 0; i < n; i++ {
-			fn(ctx, i)
+// batchedRounds advances all pairs together, one ExtendBatch per
+// round, until none has work left.
+func (s *search) batchedRounds(bs BatchSource, xs []*xpair) {
+	for {
+		s.xreq, s.xend = s.xreq[:0], s.xend[:0]
+		for _, x := range xs {
+			s.xreq = x.queue(s.xreq)
+			s.xend = append(s.xend, len(s.xreq))
 		}
-		return
-	}
-	for len(s.ctxs) < workers {
-		s.ctxs = append(s.ctxs, newXoverCtx(s))
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for t := 0; t < workers; t++ {
-		go func(ctx *xoverCtx) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(ctx, i)
+		if len(s.xreq) == 0 {
+			return
+		}
+		counts := bs.ExtendBatch(s.xreq)
+		lo := 0
+		for i, x := range xs {
+			if hi := s.xend[i]; hi > lo {
+				x.advance(counts[lo:hi])
+				lo = hi
 			}
-		}(s.ctxs[t])
+		}
 	}
-	wg.Wait()
 }
 
-// serialCtx returns a reusable crossover context bound to the master
-// RNG, for operator-level callers outside the worker pool.
-func (s *search) serialCtx() *xoverCtx {
-	if len(s.ctxs) == 0 {
-		s.ctxs = append(s.ctxs, newXoverCtx(s))
+// run takes the pair's rounds one after another, extending its own
+// partials in place.
+func (x *xpair) run() {
+	for {
+		x.xs = x.queue(x.xs[:0])
+		if len(x.xs) == 0 {
+			return
+		}
+		x.counts = x.counts[:0]
+		for _, e := range x.xs {
+			x.counts = append(x.counts, e.P.Extend(e.J, e.R))
+		}
+		x.advance(x.counts)
 	}
-	ctx := s.ctxs[0]
-	ctx.rng = s.rng
-	return ctx
 }
 
-// recombine applies the optimized crossover on the master RNG stream —
-// the scalar form of crossoverAll, used by operator-level tests.
-func (s *search) recombine(a, b evo.Genome) (evo.Genome, evo.Genome) {
-	ctx := s.serialCtx()
-	ca, cb := ctx.recombine(a, b)
-	s.evals += ctx.takeEvals()
-	return ca, cb
-}
-
-// twoPoint is the scalar form of the two-point baseline on the master
-// RNG stream.
-func (s *search) twoPoint(a, b evo.Genome) (evo.Genome, evo.Genome) {
-	ctx := s.serialCtx()
-	ca, cb := ctx.twoPoint(a, b)
-	s.evals += ctx.takeEvals()
-	return ca, cb
-}
-
-// twoPoint is the unbiased baseline: exchange the segments to the
-// right of a uniformly random cut point. Following the paper's
-// example (3*2*1 × 1*33* → 3*23* and 1*3*1), the cut falls strictly
-// inside the string. Children of the wrong dimensionality survive
-// into the population and are penalized by evaluate.
-func (x *xoverCtx) twoPoint(a, b evo.Genome) (evo.Genome, evo.Genome) {
-	d := len(a)
-	ca, cb := a.Clone(), b.Clone()
-	if d < 2 {
-		return ca, cb
-	}
-	cut := x.rng.IntRange(1, d-1)
-	for j := cut; j < d; j++ {
-		ca[j], cb[j] = cb[j], ca[j]
-	}
-	return ca, cb
-}
-
-// recombine implements the optimized crossover of Figure 5 on two
-// feasible parents. Positions are classified per §2.2:
+// start classifies the parents' positions per §2.2 and positions the
+// pair at its first round:
 //
 //	Type I   — both parents '*': the children inherit '*'.
 //	Type II  — neither parent '*' (k' positions): the 2^k'' value
@@ -178,197 +148,251 @@ func (x *xoverCtx) twoPoint(a, b evo.Genome) (evo.Genome, evo.Genome) {
 // the opposite parent than the first child did, which makes it, too, a
 // k-dimensional projection.
 //
-// If either parent is infeasible (dimensionality ≠ k — possible only
-// when resuming from a two-point population), the operator degrades to
-// the two-point baseline, which is defined for any pair.
-func (x *xoverCtx) recombine(a, b evo.Genome) (evo.Genome, evo.Genome) {
+// Under two-point crossover, or when either parent is infeasible
+// (dimensionality ≠ k — possible only when resuming from a two-point
+// population), the pair recombines at once by the two-point baseline,
+// which is defined for any pair.
+func (x *xpair) start(a, b evo.Genome, rng *xrand.RNG) {
+	x.a, x.b, x.rng, x.evals = a, b, rng, 0
+	x.stage = xTwoPoint
 	k := x.s.opt.K
-	ca, cb := cube.Cube(a), cube.Cube(b)
-	if ca.K() != k || cb.K() != k {
-		return x.twoPoint(a, b)
+	switch x.s.opt.Crossover {
+	case OptimizedCrossover:
+		if cube.Cube(a).K() != k || cube.Cube(b).K() != k {
+			twoPoint(a, b, rng)
+			return
+		}
+	case TwoPointCrossover:
+		twoPoint(a, b, rng)
+		return
+	default:
+		panic("core: unknown crossover kind")
 	}
 
-	var typeIIEqual, typeIIDiff []int // both non-*, equal / differing values
-	var typeIII []int                 // exactly one non-*
+	d := len(a)
+	x.child = append(x.child[:0], make(evo.Genome, d)...)
+	x.fromA = append(x.fromA[:0], make([]bool, d)...)
+	x.equal, x.diff, x.cands = x.equal[:0], x.diff[:0], x.cands[:0]
 	for j := range a {
 		av, bv := a[j], b[j]
 		switch {
 		case av != cube.DontCare && bv != cube.DontCare:
 			if av == bv {
-				typeIIEqual = append(typeIIEqual, j)
+				x.equal = append(x.equal, j)
 			} else {
-				typeIIDiff = append(typeIIDiff, j)
+				x.diff = append(x.diff, j)
 			}
-		case av != cube.DontCare || bv != cube.DontCare:
-			typeIII = append(typeIII, j)
+		case av != cube.DontCare:
+			x.cands = append(x.cands, xcand{j, av, true})
+		case bv != cube.DontCare:
+			x.cands = append(x.cands, xcand{j, bv, false})
 		}
 	}
-
-	child := make(evo.Genome, len(a))
-	// fromA[j] records which parent child position j derives from, so
-	// the complementary child can invert the derivation.
-	fromA := make([]bool, len(a))
 
 	// Type II, equal values: either parent works; attribute to A.
-	for _, j := range typeIIEqual {
-		child[j] = a[j]
-		fromA[j] = true
+	if x.base == nil {
+		x.base = x.s.src.NewPartial()
 	}
-
-	// Type II, differing values: exhaustive search for the combination
-	// with the lowest record count. The partial record set is threaded
-	// through a DFS so shared prefixes cost one intersection each.
-	partial := x.partial
-	x.bestTypeII(child, fromA, typeIIEqual, typeIIDiff, a, b, partial)
-
-	// partial now holds the record set of the chosen Type II prefix;
-	// extend greedily over the Type III candidates.
-	x.greedyTypeIII(child, fromA, typeIII, a, b, partial, k)
-
-	// Complementary child: derive every position from the other parent.
-	comp := make(evo.Genome, len(a))
-	for j := range comp {
-		if fromA[j] {
-			comp[j] = b[j]
-		} else {
-			comp[j] = a[j]
-		}
+	x.base.Reset()
+	for _, j := range x.equal {
+		x.child[j] = a[j]
+		x.fromA[j] = true
+		x.base.Constrain(j, a[j])
 	}
-	return child, comp
-}
-
-// bestTypeII fills child's Type II positions. Equal-valued positions
-// are fixed already; differing ones are searched exhaustively (up to
-// the configured limit, greedily beyond it). On return, partial holds
-// the record set of all Type II constraints.
-func (x *xoverCtx) bestTypeII(child evo.Genome, fromA []bool, equal, diff []int, a, b evo.Genome, partial Partial) {
-	// Seed the partial set with the equal-valued constraints.
-	partial.Reset()
-	for _, j := range equal {
-		partial.Constrain(j, child[j])
-	}
-	if len(diff) == 0 {
-		return
-	}
-
-	if len(diff) > x.s.opt.TypeIIExhaustiveLimit {
+	x.need = k - len(x.equal) - len(x.diff)
+	x.round = 0
+	switch {
+	case len(x.diff) == 0:
+		x.stage = xTypeIII
+	case len(x.diff) > x.s.opt.TypeIIExhaustiveLimit:
 		// Fallback: resolve each differing position independently by
 		// marginal count. Keeps the operator polynomial for adversarial
 		// k'; the paper's observation is that k' is typically small, so
 		// this path is rare.
-		for _, j := range diff {
-			x.evals++
-			na := partial.Extend(j, a[j])
-			x.evals++
-			nb := partial.Extend(j, b[j])
-			if na <= nb {
-				child[j] = a[j]
-				fromA[j] = true
-			} else {
-				child[j] = b[j]
-			}
-			partial.Constrain(j, child[j])
-		}
-		return
-	}
-
-	// Exhaustive DFS over the 2^k'' assignments, sharing prefix
-	// intersections. Per-depth scratch partials persist on the ctx, so
-	// repeated crossovers avoid allocation churn.
-	bestCount := -1
-	bestMask := 0
-	var dfs func(depth, mask int, cur Partial)
-	dfs = func(depth, mask int, cur Partial) {
-		if depth == len(diff) {
-			n := cur.Count()
-			x.evals++
-			if bestCount < 0 || n < bestCount {
-				bestCount = n
-				bestMask = mask
-			}
-			return
-		}
-		j := diff[depth]
-		next := x.scratchAt(depth)
-		// take parent A's value
-		next.CopyFrom(cur)
-		next.Constrain(j, a[j])
-		dfs(depth+1, mask|1<<depth, next)
-		// take parent B's value
-		next.CopyFrom(cur)
-		next.Constrain(j, b[j])
-		dfs(depth+1, mask, next)
-	}
-	dfs(0, 0, partial)
-
-	for i, j := range diff {
-		if bestMask&(1<<i) != 0 {
-			child[j] = a[j]
-			fromA[j] = true
-		} else {
-			child[j] = b[j]
-		}
-		partial.Constrain(j, child[j])
+		x.stage = xGreedyII
+	default:
+		x.stage = xTypeII
+		x.best = -1
 	}
 }
 
-// greedyTypeIII extends child from the Type III candidate positions —
-// at each position exactly one parent carries a range — always picking
-// the candidate whose added constraint leaves the fewest records
-// (most negative sparsity at the resulting dimensionality), until the
-// child has k constrained positions. Ties break uniformly at random so
-// repeated crossovers explore distinct optima.
-func (x *xoverCtx) greedyTypeIII(child evo.Genome, fromA []bool, typeIII []int, a, b evo.Genome, partial Partial, k int) {
-	type cand struct {
-		pos   int
-		rng   uint16
-		fromA bool
-	}
-	cands := make([]cand, 0, len(typeIII))
-	for _, j := range typeIII {
-		if a[j] != cube.DontCare {
-			cands = append(cands, cand{j, a[j], true})
-		} else {
-			cands = append(cands, cand{j, b[j], false})
+// typeIIBits splits the k″−1 prefix choices of the exhaustive Type II
+// search into hi bits fixed per round and lo bits (at most
+// xPrefixBits) enumerated within it. Choice i is bit k″−2−i of a
+// prefix's index, 0 taking parent A's value, so ascending indices are
+// the depth-first order over the leaves, A before B.
+func (x *xpair) typeIIBits() (hi, lo int) {
+	m := len(x.diff) - 1
+	lo = min(m, xPrefixBits)
+	return m - lo, lo
+}
+
+// queue appends the pair's next round of extensions to xs. A pair with
+// nothing left appends nothing.
+func (x *xpair) queue(xs []Extension) []Extension {
+	a, b := x.a, x.b
+	switch x.stage {
+	case xTypeII:
+		hi, lo := x.typeIIBits()
+		p := x.prefixes(hi, lo)
+		j := x.diff[len(x.diff)-1]
+		for _, q := range p {
+			xs = append(xs, Extension{q, j, a[j]}, Extension{q, j, b[j]})
+		}
+	case xGreedyII:
+		j := x.diff[x.round]
+		xs = append(xs, Extension{x.base, j, a[j]}, Extension{x.base, j, b[j]})
+	case xTypeIII:
+		if x.round < x.need {
+			for _, c := range x.cands {
+				if c.pos >= 0 {
+					xs = append(xs, Extension{x.base, c.pos, c.rng})
+				}
+			}
 		}
 	}
-	need := k - cube.Cube(child).K()
-	for t := 0; t < need; t++ {
-		bestIdx := -1
-		bestCount := -1
-		nbest := 0
-		for ci, c := range cands {
+	return xs
+}
+
+// prefixes builds the current round's Type II prefix partials: the
+// round's fixed choices on a copy of the base, then the lo varying
+// choices by in-place doubling, so prefix q holds choice bits q.
+// Prefix partials are grown on demand and never exceed xPrefixes.
+func (x *xpair) prefixes(hi, lo int) []Partial {
+	for len(x.prefix) < 1<<lo {
+		x.prefix = append(x.prefix, x.s.src.NewPartial())
+	}
+	p := x.prefix[:1<<lo]
+	p[0].CopyFrom(x.base)
+	for i, j := range x.diff[:hi] {
+		if x.round>>(hi-1-i)&1 == 0 {
+			p[0].Constrain(j, x.a[j])
+		} else {
+			p[0].Constrain(j, x.b[j])
+		}
+	}
+	for l := 0; l < lo; l++ {
+		j := x.diff[hi+l]
+		for q := 1<<l - 1; q >= 0; q-- {
+			p[2*q+1].CopyFrom(p[q])
+			p[2*q+1].Constrain(j, x.b[j])
+			if q > 0 {
+				p[2*q].CopyFrom(p[q])
+			}
+			p[2*q].Constrain(j, x.a[j])
+		}
+	}
+	return p
+}
+
+// advance consumes the counts of the round queue requested last.
+func (x *xpair) advance(counts []int) {
+	switch x.stage {
+	case xTypeII:
+		// The first leaf, in depth-first order, with the lowest count.
+		hi, lo := x.typeIIBits()
+		first := x.round << (lo + 1)
+		for i, n := range counts {
+			x.evals++
+			if x.best < 0 || n < x.best {
+				x.best, x.leaf = n, first+i
+			}
+		}
+		x.round++
+		if x.round < 1<<hi {
+			return
+		}
+		last := len(x.diff) - 1
+		for i, j := range x.diff {
+			x.take(j, x.leaf>>(last-i)&1 == 0)
+		}
+		x.stage, x.round = xTypeIII, 0
+	case xGreedyII:
+		x.evals += 2
+		x.take(x.diff[x.round], counts[0] <= counts[1])
+		x.round++
+		if x.round == len(x.diff) {
+			x.stage, x.round = xTypeIII, 0
+		}
+	case xTypeIII:
+		// Add the candidate leaving the fewest records (most negative
+		// sparsity at the resulting dimensionality). Ties break
+		// uniformly at random, reservoir-style, so repeated crossovers
+		// explore distinct optima.
+		bestIdx, bestCount, nbest := -1, -1, 0
+		i := 0
+		for ci, c := range x.cands {
 			if c.pos < 0 {
 				continue // consumed
 			}
 			x.evals++
-			n := partial.Extend(c.pos, c.rng)
+			n := counts[i]
+			i++
 			switch {
 			case bestIdx < 0 || n < bestCount:
 				bestIdx, bestCount, nbest = ci, n, 1
 			case n == bestCount:
-				// Reservoir-style uniform tie-break.
 				nbest++
 				if x.rng.Intn(nbest) == 0 {
 					bestIdx = ci
 				}
 			}
 		}
-		if bestIdx < 0 {
-			break // fewer candidates than needed: parents were infeasible
-		}
-		c := cands[bestIdx]
-		child[c.pos] = c.rng
-		fromA[c.pos] = c.fromA
-		partial.Constrain(c.pos, c.rng)
-		cands[bestIdx].pos = -1
+		c := x.cands[bestIdx]
+		x.child[c.pos] = c.rng
+		x.fromA[c.pos] = c.fromA
+		x.base.Constrain(c.pos, c.rng)
+		x.cands[bestIdx].pos = -1
+		x.round++
 	}
-	// Positions not chosen keep DontCare in child; their derivation
+}
+
+// take sets Type II position j from parent A (or B) and adds the
+// constraint to the base.
+func (x *xpair) take(j int, fromA bool) {
+	if fromA {
+		x.child[j], x.fromA[j] = x.a[j], true
+	} else {
+		x.child[j] = x.b[j]
+	}
+	x.base.Constrain(j, x.child[j])
+}
+
+// finish writes the children over the parents: the first child into
+// a, the complementary one — every position from the other parent —
+// into b. Two-point pairs recombined in start and have nothing left.
+func (x *xpair) finish() {
+	if x.stage == xTwoPoint {
+		return
+	}
+	// Positions not chosen keep DontCare in the child; their derivation
 	// flag must point at the parent whose entry is '*' there, so the
 	// complementary child picks up the other parent's range.
-	for _, c := range cands {
+	for _, c := range x.cands {
 		if c.pos >= 0 {
-			fromA[c.pos] = !c.fromA
+			x.fromA[c.pos] = !c.fromA
 		}
+	}
+	// Where the child derives from A it already equals a.
+	for j, v := range x.child {
+		if !x.fromA[j] {
+			x.a[j], x.b[j] = v, x.a[j]
+		}
+	}
+}
+
+// twoPoint is the unbiased baseline, in place: exchange the segments
+// to the right of a uniformly random cut point. Following the paper's
+// example (3*2*1 × 1*33* → 3*23* and 1*3*1), the cut falls strictly
+// inside the string. Children of the wrong dimensionality survive
+// into the population and are penalized by evaluate.
+func twoPoint(a, b evo.Genome, rng *xrand.RNG) {
+	d := len(a)
+	if d < 2 {
+		return
+	}
+	cut := rng.IntRange(1, d-1)
+	for j := cut; j < d; j++ {
+		a[j], b[j] = b[j], a[j]
 	}
 }

@@ -157,7 +157,12 @@ type search struct {
 	cache   map[string]fitEntry // run-local fitness memo; also defines Evaluations
 	workers int
 	evals   int
-	ctxs    []*xoverCtx // lazily built per-worker scratch contexts
+	// pairs holds the crossover state of each pair slot, reused across
+	// generations; xreq and xend collect a batched round's extensions
+	// and each pair's end offset into them.
+	pairs []*xpair
+	xreq  []Extension
+	xend  []int
 	// keyBuf holds the current generation's member keys back to back;
 	// member i's key ends at keyEnd[i]. evaluateAll builds them once
 	// and the memo, the count batch and the best-set offers share them.

@@ -151,7 +151,8 @@ func (r *Result) FilterProjections(d *Detector, threshold float64) *Result {
 }
 
 // FilterProjectionsOver is FilterProjections against an arbitrary
-// CountSource — the cluster fit filters through the shard fan-out.
+// CountSource — the cluster fit filters through the shard fan-out, one
+// cover batch for the whole pass.
 func (r *Result) FilterProjectionsOver(src CountSource, threshold float64) *Result {
 	out := &Result{
 		Evaluations:     r.Evaluations,
@@ -160,12 +161,16 @@ func (r *Result) FilterProjectionsOver(src CountSource, threshold float64) *Resu
 		Elapsed:         r.Elapsed,
 		OutlierSet:      bitset.New(src.N()),
 	}
+	var cs []cube.Cube
 	for _, p := range r.Projections {
 		if p.Sparsity > threshold {
 			continue
 		}
 		out.Projections = append(out.Projections, p)
-		for _, i := range src.Cover(p.Cube) {
+		cs = append(cs, p.Cube)
+	}
+	for _, cover := range coverAll(src, cs) {
+		for _, i := range cover {
 			out.OutlierSet.Set(i)
 		}
 	}

@@ -161,18 +161,22 @@ func (r *Result) RankedOutliers(d *Detector) []int {
 
 // finalizeOver converts a BestSet into the Result's projections and
 // runs the §2.3 postprocessing: the outliers are the records covered
-// by at least one retained projection. It goes through the source's
-// Cover so remote sources resolve coverage across their shards.
+// by at least one retained projection. It covers every projection in
+// one coverAll, so a batching source resolves the pass in one round
+// trip across its shards.
 func finalizeOver(src CountSource, bs *evo.BestSet, r *Result) {
 	entries := bs.Entries()
+	cs := make([]cube.Cube, len(entries))
+	for i, e := range entries {
+		cs[i] = cube.Cube(e.Genome).Clone()
+	}
+	covers := coverAll(src, cs)
 	r.Projections = make([]Projection, 0, len(entries))
 	r.OutlierSet = bitset.New(src.N())
-	for _, e := range entries {
-		c := cube.Cube(e.Genome).Clone()
-		idx := src.Cover(c)
-		r.Projections = append(r.Projections, Projection{Cube: c, Sparsity: e.Fitness, Count: len(idx)})
-		for _, i := range idx {
-			r.OutlierSet.Set(i)
+	for i, e := range entries {
+		r.Projections = append(r.Projections, Projection{Cube: cs[i], Sparsity: e.Fitness, Count: len(covers[i])})
+		for _, j := range covers[i] {
+			r.OutlierSet.Set(j)
 		}
 	}
 	r.Outliers = r.OutlierSet.Indices()
