@@ -7,6 +7,7 @@ import (
 
 	"hido/internal/cube"
 	"hido/internal/evo"
+	"hido/internal/fanout"
 	"hido/internal/obs"
 	"hido/internal/stats"
 )
@@ -243,7 +244,7 @@ func BruteForceOver(src CountSource, opt BruteForceOptions) (*Result, error) {
 		}
 	}
 
-	workers := resolveWorkers(opt.Workers)
+	workers := fanout.Workers(opt.Workers)
 	if workers > len(sh.tasks) {
 		workers = len(sh.tasks)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"hido/internal/bitset"
 	"hido/internal/cube"
+	"hido/internal/fanout"
 	"hido/internal/grid"
 )
 
@@ -126,7 +127,7 @@ func (s detectorSource) CountKey(c cube.Cube, _ string) int {
 
 func (s detectorSource) CountBatch(cs []cube.Cube, keys []string, workers int) []int {
 	counts := make([]int, len(cs))
-	parallelFor(len(cs), workers, func(i int) {
+	fanout.For(len(cs), workers, func(i int) {
 		counts[i] = s.CountKey(cs[i], keys[i])
 	})
 	return counts

@@ -3,6 +3,7 @@ package core
 import (
 	"hido/internal/cube"
 	"hido/internal/evo"
+	"hido/internal/fanout"
 	"hido/internal/xrand"
 )
 
@@ -82,7 +83,7 @@ func (s *search) crossoverAll(pop *evo.Population) {
 	if bs, ok := s.src.(BatchSource); ok {
 		s.batchedRounds(bs, xs)
 	} else {
-		parallelFor(len(xs), s.workers, func(i int) { xs[i].run() })
+		fanout.For(len(xs), s.workers, func(i int) { xs[i].run() })
 	}
 	for _, x := range xs {
 		x.finish()

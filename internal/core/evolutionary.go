@@ -7,6 +7,7 @@ import (
 
 	"hido/internal/cube"
 	"hido/internal/evo"
+	"hido/internal/fanout"
 	"hido/internal/obs"
 	"hido/internal/stats"
 	"hido/internal/xrand"
@@ -171,6 +172,9 @@ type search struct {
 	// lastDistinct is the latest generation's distinct-genome count,
 	// maintained by evaluateAll only when the run is observed.
 	lastDistinct int
+	// stars and filled are mutate's position lists, reused for every
+	// member so a generation's mutations allocate nothing.
+	stars, filled []int
 }
 
 type fitEntry struct {
@@ -188,7 +192,7 @@ func newSearch(src CountSource, opt EvoOptions) *search {
 		rng:     xrand.New(opt.Seed),
 		bs:      evo.NewBestSet(opt.M),
 		cache:   make(map[string]fitEntry),
-		workers: resolveWorkers(opt.Workers),
+		workers: fanout.Workers(opt.Workers),
 	}
 }
 
@@ -455,7 +459,7 @@ func (s *search) mutateAll(pop *evo.Population) {
 // different random range.
 func (s *search) mutate(g evo.Genome) {
 	if s.rng.Bernoulli(s.opt.MutateP1) {
-		var stars, filled []int
+		stars, filled := s.stars[:0], s.filled[:0]
 		// Only searched dimensions participate: a Type I swap must not
 		// leak a constraint outside the feature bag. Genomes constrain
 		// bag dimensions only, so `filled` is unaffected by the
@@ -468,6 +472,7 @@ func (s *search) mutate(g evo.Genome) {
 				filled = append(filled, j)
 			}
 		}
+		s.stars, s.filled = stars, filled
 		if len(stars) > 0 && len(filled) > 0 {
 			in := stars[s.rng.Intn(len(stars))]
 			out := filled[s.rng.Intn(len(filled))]
@@ -476,12 +481,13 @@ func (s *search) mutate(g evo.Genome) {
 		}
 	}
 	if s.rng.Bernoulli(s.opt.MutateP2) {
-		var filled []int
+		filled := s.filled[:0]
 		for j, v := range g {
 			if v != cube.DontCare {
 				filled = append(filled, j)
 			}
 		}
+		s.filled = filled
 		if len(filled) > 0 {
 			j := filled[s.rng.Intn(len(filled))]
 			if phi := s.src.Phi(); phi > 1 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hido/internal/evo"
+	"hido/internal/fanout"
 	"hido/internal/xrand"
 )
 
@@ -76,7 +77,7 @@ func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 
 	// Worker budget: islands evolve concurrently; leftover workers fan
 	// out inside each island's evaluator.
-	w := resolveWorkers(eo.Workers)
+	w := fanout.Workers(eo.Workers)
 	outer := w
 	if outer > opt.Islands {
 		outer = opt.Islands
@@ -108,7 +109,7 @@ func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 		searches[i] = newSearch(src, io)
 		islands[i] = evo.NewPopulation(eo.PopSize, d.D())
 	}
-	parallelFor(opt.Islands, outer, func(i int) {
+	fanout.For(opt.Islands, outer, func(i int) {
 		s, pop := searches[i], islands[i]
 		for m := range pop.Members {
 			s.randomGenome(pop.Members[m])
@@ -124,7 +125,7 @@ func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 	for ; gen < eo.MaxGenerations; gen++ {
 		// One generation per island, concurrently; the barrier below
 		// keeps migration and observation deterministic.
-		parallelFor(opt.Islands, outer, func(i int) {
+		fanout.For(opt.Islands, outer, func(i int) {
 			s, pop := searches[i], islands[i]
 			pop.Select(eo.Selection, s.rng)
 			s.crossoverAll(pop)

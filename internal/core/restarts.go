@@ -7,6 +7,7 @@ import (
 
 	"hido/internal/bitset"
 	"hido/internal/cube"
+	"hido/internal/fanout"
 )
 
 // EvolutionaryRestarts runs the genetic search `restarts` times with
@@ -24,7 +25,11 @@ import (
 // executes concurrently. An opt.Observer does NOT serialize the
 // restarts — it must be concurrency-safe, and each restart labels its
 // events with a derived run ID ("evo.r0", "evo.r1", …); a final
-// aggregate summary is emitted under the parent ID.
+// aggregate summary is emitted under the parent ID. stream's fits
+// (NewMonitor, Refit, ingest refits and hidod fit jobs) pass Workers
+// −1, so their restarts run concurrently on GOMAXPROCS workers;
+// cluster.Coordinator.Fit keeps them serial, so its shared RPC memo
+// sees the same lookups in the same order on every run.
 //
 // The merged result holds every distinct projection found (up to
 // restarts·M), sorted by ascending sparsity; Outliers is the union of
@@ -50,7 +55,7 @@ func EvolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*R
 		return nil, fmt.Errorf("core: checkpointing is not supported with restarts")
 	}
 	start := time.Now()
-	w := resolveWorkers(opt.Workers)
+	w := fanout.Workers(opt.Workers)
 	outer := w
 	if outer > restarts {
 		outer = restarts
@@ -69,7 +74,7 @@ func EvolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*R
 	}
 	results := make([]*Result, restarts)
 	errs := make([]error, restarts)
-	parallelFor(restarts, outer, func(r int) {
+	fanout.For(restarts, outer, func(r int) {
 		o := opt
 		// Derive well-separated seeds; 0x9e3779b97f4a7c15 is the 64-bit
 		// golden-ratio increment, so successive restarts never collide.

@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"hido/internal/dataset"
+	"hido/internal/fanout"
 )
 
 // Method selects the range-construction strategy.
@@ -58,7 +59,10 @@ type Grid struct {
 }
 
 // Fit builds a grid with phi ranges per dimension over the dataset.
-// phi must be at least 2 and fit in uint16.
+// phi must be at least 2 and fit in uint16. Columns are independent,
+// so their cuts are placed on a pool of GOMAXPROCS workers, each with
+// one column buffer reused across its block of dimensions; the grid is
+// identical at every pool size.
 func Fit(ds *dataset.Dataset, phi int, method Method) *Grid {
 	if phi < 2 || phi > math.MaxUint16 {
 		panic(fmt.Sprintf("discretize: phi=%d out of range [2,%d]", phi, math.MaxUint16))
@@ -73,18 +77,20 @@ func Fit(ds *dataset.Dataset, phi int, method Method) *Grid {
 		Method: method,
 		cuts:   make([][]float64, ds.D()),
 	}
-	col := make([]float64, 0, ds.N())
-	for j := 0; j < ds.D(); j++ {
-		col = ds.AppendColumn(col[:0], j)
-		switch method {
-		case EquiDepth:
-			g.cuts[j] = equiDepthCuts(col, phi)
-		case EquiWidth:
-			g.cuts[j] = equiWidthCuts(col, phi)
-		default:
-			panic("discretize: unknown method")
-		}
+	if method != EquiDepth && method != EquiWidth {
+		panic("discretize: unknown method")
 	}
+	fanout.Blocks(g.D, fanout.Workers(-1), func(lo, hi int) {
+		col := make([]float64, 0, g.N)
+		for j := lo; j < hi; j++ {
+			col = ds.AppendColumn(col[:0], j)
+			if method == EquiDepth {
+				g.cuts[j] = equiDepthCuts(col, phi)
+			} else {
+				g.cuts[j] = equiWidthCuts(col, phi)
+			}
+		}
+	})
 	g.assignCells(ds)
 	return g
 }
@@ -246,12 +252,16 @@ func Apply(ds *dataset.Dataset, phi int, cuts [][]float64) *Grid {
 }
 
 // assignCells fills the per-record cell assignments under the grid's
-// cuts, row by row in the dataset's own layout.
+// cuts, row by row in the dataset's own layout. Rows are split into
+// contiguous blocks, one per GOMAXPROCS worker, so each worker writes
+// its own span of cells.
 func (g *Grid) assignCells(ds *dataset.Dataset) {
 	g.cells = make([]uint16, g.N*g.D)
-	for i := 0; i < g.N; i++ {
-		g.AssignRowInto(ds.RowView(i), g.cells[i*g.D:(i+1)*g.D])
-	}
+	fanout.Blocks(g.N, fanout.Workers(-1), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			g.AssignRowInto(ds.RowView(i), g.cells[i*g.D:(i+1)*g.D])
+		}
+	})
 }
 
 // FromCuts reconstructs a grid from previously fitted cut points —

@@ -21,13 +21,11 @@ package ensemble
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hido/internal/core"
+	"hido/internal/fanout"
 	"hido/internal/obs"
 	"hido/internal/xrand"
 )
@@ -241,7 +239,7 @@ func Fit(d *core.Detector, opt Options) (*Result, error) {
 
 	bags := SampleBags(d.D(), opt.Members, opt.BagSize, opt.Seed)
 
-	w := resolveWorkers(opt.Workers)
+	w := fanout.Workers(opt.Workers)
 	outer := w
 	if outer > opt.Members {
 		outer = opt.Members
@@ -256,7 +254,7 @@ func Fit(d *core.Detector, opt Options) (*Result, error) {
 		Evidence: make([][]float64, opt.Members),
 	}
 	errs := make([]error, opt.Members)
-	parallelFor(opt.Members, outer, func(r int) {
+	fanout.For(opt.Members, outer, func(r int) {
 		bag := bags[r]
 		seed := memberSeed(opt.Seed, r)
 		runID := fmt.Sprintf("%s.m%d", opt.RunID, r)
@@ -340,45 +338,4 @@ func notifySummary(opt Options, res *Result, d *core.Detector) {
 		Projections: len(distinct),
 		Elapsed:     res.Elapsed,
 	})
-}
-
-// resolveWorkers and parallelFor mirror internal/core's pool helpers
-// (unexported there; the ensemble layer needs the same semantics for
-// its outer member loop).
-func resolveWorkers(w int) int {
-	switch {
-	case w == 0:
-		return 1
-	case w < 0:
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for t := 0; t < workers; t++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

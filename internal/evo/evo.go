@@ -14,6 +14,7 @@ package evo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hido/internal/cube"
@@ -54,6 +55,16 @@ func (g Genome) compare(o Genome) int {
 type Population struct {
 	Members []Genome
 	Fitness []float64
+
+	// next and nextFit receive Select's draws and are then swapped with
+	// Members and Fitness, so every generation after the first reuses
+	// the previous generation's genome buffers. order, weights and cum
+	// are the rank roulette's scratch.
+	next    []Genome
+	nextFit []float64
+	order   []int
+	weights []float64
+	cum     []float64
 }
 
 // NewPopulation allocates a population of size p with genomes of the
@@ -179,29 +190,48 @@ func (s Selection) String() string {
 
 // Select replaces the population with p members drawn according to the
 // strategy. Fitness values travel with their genomes, so no
-// re-evaluation is needed. Genomes are copied, never aliased, because
-// crossover and mutation edit them in place.
+// re-evaluation is needed. Each draw is copied into a buffer of its own,
+// never aliased, because crossover and mutation edit the members in
+// place. The buffers are the previous generation's, kept by the
+// population and swapped with Members, so steady-state selection
+// allocates nothing. A genome taken out of Members must therefore be
+// cloned to outlive the next Select, as BestSet and island migration
+// do.
 func (pop *Population) Select(strategy Selection, rng *xrand.RNG) {
 	p := pop.Len()
 	if p == 0 {
 		return
 	}
-	newMembers := make([]Genome, p)
-	newFitness := make([]float64, p)
+	if len(pop.next) != p {
+		pop.next = make([]Genome, p)
+		pop.nextFit = make([]float64, p)
+	}
 	switch strategy {
 	case RankRoulette:
 		// r(i): 1-based rank, most negative fitness ranked first.
-		order := make([]int, p)
-		for i := range order {
-			order[i] = i
+		order := pop.order[:0]
+		for i := 0; i < p; i++ {
+			order = append(order, i)
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return pop.Fitness[order[a]] < pop.Fitness[order[b]]
+		pop.order = order
+		// Stable and decided by `<` alone, so tied members keep their
+		// order. It is the insertion-sort-and-merge sort.SliceStable
+		// runs, so even NaN fitness ranks as in the clone-based
+		// reference the tests keep.
+		slices.SortStableFunc(order, func(a, b int) int {
+			switch fa, fb := pop.Fitness[a], pop.Fitness[b]; {
+			case fa < fb:
+				return -1
+			case fb < fa:
+				return 1
+			}
+			return 0
 		})
 		// weight of the member with rank r is p - r; the best member
 		// (r=1) gets weight p-1, the worst gets 0 and is never selected
 		// (except when p == 1).
-		weights := make([]float64, p)
+		weights := slices.Grow(pop.weights[:0], p)[:p]
+		pop.weights = weights
 		for rank, idx := range order {
 			weights[idx] = float64(p - (rank + 1))
 		}
@@ -213,10 +243,11 @@ func (pop *Population) Select(strategy Selection, rng *xrand.RNG) {
 		// reproducing its draws bit for bit: the prefix sums are built by
 		// the same sequential additions, so `x < cum[j+1]` is the same
 		// float comparison the linear scan performs.
-		cum := make([]float64, p+1)
+		cum := append(pop.cum[:0], 0)
 		for i, w := range weights {
-			cum[i+1] = cum[i] + w
+			cum = append(cum, cum[i]+w)
 		}
+		pop.cum = cum
 		total := cum[p]
 		for i := 0; i < p; i++ {
 			x := rng.Float64() * total
@@ -227,8 +258,7 @@ func (pop *Population) Select(strategy Selection, rng *xrand.RNG) {
 				for j = p - 1; j > 0 && weights[j] <= 0; j-- {
 				}
 			}
-			newMembers[i] = pop.Members[j].Clone()
-			newFitness[i] = pop.Fitness[j]
+			pop.draw(i, j)
 		}
 	case Tournament:
 		for i := 0; i < p; i++ {
@@ -236,20 +266,24 @@ func (pop *Population) Select(strategy Selection, rng *xrand.RNG) {
 			if pop.Fitness[b] < pop.Fitness[a] {
 				a = b
 			}
-			newMembers[i] = pop.Members[a].Clone()
-			newFitness[i] = pop.Fitness[a]
+			pop.draw(i, a)
 		}
 	case Uniform:
 		for i := 0; i < p; i++ {
-			j := rng.Intn(p)
-			newMembers[i] = pop.Members[j].Clone()
-			newFitness[i] = pop.Fitness[j]
+			pop.draw(i, rng.Intn(p))
 		}
 	default:
 		panic("evo: unknown selection strategy")
 	}
-	pop.Members = newMembers
-	pop.Fitness = newFitness
+	pop.Members, pop.next = pop.next, pop.Members
+	pop.Fitness, pop.nextFit = pop.nextFit, pop.Fitness
+}
+
+// draw copies member j and its fitness into slot i of the generation
+// Select is building.
+func (pop *Population) draw(i, j int) {
+	pop.next[i] = append(pop.next[i][:0], pop.Members[j]...)
+	pop.nextFit[i] = pop.Fitness[j]
 }
 
 // Pairs returns a random pairing of the population for crossover

@@ -16,6 +16,7 @@ import (
 	"hido/internal/bitset"
 	"hido/internal/cube"
 	"hido/internal/discretize"
+	"hido/internal/fanout"
 	"hido/internal/stats"
 )
 
@@ -28,24 +29,29 @@ type Index struct {
 	bits [][]*bitset.Set
 }
 
-// Build constructs the index from a fitted discretization.
+// Build constructs the index from a fitted discretization. Each of
+// GOMAXPROCS workers owns a contiguous block of dimensions and scans
+// every record for them, so every bitmap has exactly one writer and
+// the index is identical at every pool size.
 func Build(g *discretize.Grid) *Index {
 	ix := &Index{N: g.N, D: g.D, Phi: g.Phi}
 	ix.bits = make([][]*bitset.Set, g.D)
-	for j := 0; j < g.D; j++ {
-		ix.bits[j] = make([]*bitset.Set, g.Phi)
-		for r := 0; r < g.Phi; r++ {
-			ix.bits[j][r] = bitset.New(g.N)
-		}
-	}
-	for i := 0; i < g.N; i++ {
-		row := g.CellsRow(i)
-		for j, r := range row {
-			if r != 0 {
-				ix.bits[j][r-1].Set(i)
+	fanout.Blocks(g.D, fanout.Workers(-1), func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			ix.bits[j] = make([]*bitset.Set, g.Phi)
+			for r := 0; r < g.Phi; r++ {
+				ix.bits[j][r] = bitset.New(g.N)
 			}
 		}
-	}
+		for i := 0; i < g.N; i++ {
+			row := g.CellsRow(i)
+			for j := lo; j < hi; j++ {
+				if r := row[j]; r != 0 {
+					ix.bits[j][r-1].Set(i)
+				}
+			}
+		}
+	})
 	return ix
 }
 

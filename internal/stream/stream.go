@@ -56,7 +56,9 @@ type Options struct {
 	// M is how many best projections each search run tracks
 	// (default 100).
 	M int
-	// Restarts unions this many evolutionary runs (default 3).
+	// Restarts unions this many evolutionary runs (default 3). The
+	// runs execute concurrently on GOMAXPROCS workers; the fitted
+	// model is identical at every worker count.
 	Restarts int
 	// Seed drives the searches.
 	Seed uint64
@@ -170,10 +172,11 @@ func (m *Monitor) refitDetector(reference *dataset.Dataset, det *core.Detector) 
 	// MinCoverage -1 admits cubes that are EMPTY in the reference
 	// window — offline mining discards them (they cover no record),
 	// but online they are the strongest alarms: a new record landing
-	// in a region the reference never occupied.
+	// in a region the reference never occupied. The restarts run
+	// concurrently, as the ensemble's members do.
 	res, err := det.EvolutionaryRestarts(core.EvoOptions{
 		K: advice.K, M: m.opt.M, Seed: m.opt.Seed, MinCoverage: -1,
-		Observer: m.opt.Observer, RunID: "fit",
+		Workers: -1, Observer: m.opt.Observer, RunID: "fit",
 	}, m.opt.Restarts)
 	if err != nil {
 		return err
