@@ -20,6 +20,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -160,7 +161,30 @@ func BenchmarkTable1_Musk_GenOptParallel(b *testing.B) {
 // --- The fit path the bench gate pins: one stream.NewMonitor fit on
 // the Musk profile (d=160) at phi=9 with a fixed search seed, and the
 // equi-depth discretization it starts with. allocs/op is deterministic
-// per seed, so bench_baseline.json gates it sharply. ---
+// per seed, so bench_baseline.json gates it sharply; so are the
+// search's evaluation and generation counts, which it gates exactly. ---
+
+// reportSearchCounts runs one more fit, observed, after the timed loop
+// and reports its final summary's Evaluations and Generations. Both
+// are fixed by the seed at any GOMAXPROCS, so a change to the search's
+// draws moves them even when its allocations hold. The timer is
+// stopped first, so the extra fit moves neither ns/op nor allocs/op.
+func reportSearchCounts(b *testing.B, fit func(obs.Observer) error) {
+	b.Helper()
+	b.StopTimer()
+	var mu sync.Mutex
+	var last obs.SummaryEvent
+	done := func(e obs.SummaryEvent) {
+		mu.Lock()
+		last = e
+		mu.Unlock()
+	}
+	if err := fit(obs.Funcs{Done: done}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(last.Evaluations), "evaluations/op")
+	b.ReportMetric(float64(last.Generations), "generations/op")
+}
 
 func muskData(b *testing.B) *dataset.Dataset {
 	b.Helper()
@@ -184,6 +208,10 @@ func BenchmarkFit_Musk(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportSearchCounts(b, func(o obs.Observer) error {
+		_, err := stream.NewMonitor(ds, stream.Options{Phi: 9, Seed: 1, Observer: o})
+		return err
+	})
 }
 
 func BenchmarkDiscretize_Musk(b *testing.B) {
@@ -199,8 +227,8 @@ func BenchmarkDiscretize_Musk(b *testing.B) {
 // Segmentation-profile rows split over three loopback storage shards,
 // φ 6, one seed. A warm-up fit places the global cuts and builds the
 // shard indexes, so each iteration is the steady-state fit: grid push,
-// batched count rounds and cover passes. allocs/op is gated by
-// bench_baseline.json.
+// batched count rounds and cover passes. allocs/op, evaluations/op and
+// generations/op are gated by bench_baseline.json.
 func BenchmarkClusterFit(b *testing.B) {
 	p, err := synth.ProfileByName("Segmentation")
 	if err != nil {
@@ -237,6 +265,12 @@ func BenchmarkClusterFit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportSearchCounts(b, func(o obs.Observer) error {
+		observed := opt
+		observed.Observer = o
+		_, _, err := co.Fit(ctx, observed)
+		return err
+	})
 }
 
 // --- Table 1: Machine (8) ---

@@ -9,12 +9,16 @@
 //
 //   - the benchmark is missing from the new run, or
 //   - allocs/op exceeds baseline by more than 10%, or
-//   - records/s drops below 85% of baseline.
+//   - records/s drops below 85% of baseline, or
+//   - evaluations/op or generations/op differs at all from a non-zero
+//     baseline value.
 //
 // Allocation counts are machine-independent, so the allocs gate is
 // sharp; the baseline's records/s values are deliberately conservative
 // low-water marks so the throughput gate only catches structural
-// collapses, not runner jitter.
+// collapses, not runner jitter. A fit's evaluation and generation
+// counts are fixed by its seed at any GOMAXPROCS, so any difference
+// means the search itself changed.
 package main
 
 import (
@@ -31,10 +35,12 @@ import (
 
 // Result is one benchmark's measured series.
 type Result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	RecordsPerS float64 `json:"records_per_s"`
+	NsPerOp          float64 `json:"ns_per_op"`
+	BytesPerOp       float64 `json:"bytes_per_op"`
+	AllocsPerOp      float64 `json:"allocs_per_op"`
+	RecordsPerS      float64 `json:"records_per_s"`
+	EvaluationsPerOp float64 `json:"evaluations_per_op,omitempty"`
+	GenerationsPerOp float64 `json:"generations_per_op,omitempty"`
 }
 
 // Report is the BENCH_serving.json shape.
@@ -86,6 +92,10 @@ func parseBenchOutput(r io.Reader) (map[string]Result, error) {
 				res.AllocsPerOp = v
 			case "records/s":
 				res.RecordsPerS = v
+			case "evaluations/op":
+				res.EvaluationsPerOp = v
+			case "generations/op":
+				res.GenerationsPerOp = v
 			}
 		}
 		out[name] = res
@@ -126,6 +136,18 @@ func gate(baseline, current map[string]Result) []string {
 		if floor := base.RecordsPerS * throughputFloor; base.RecordsPerS > 0 && cur.RecordsPerS < floor {
 			bad = append(bad, fmt.Sprintf("%s: %.0f records/s is below 85%% of baseline %.0f",
 				name, cur.RecordsPerS, base.RecordsPerS))
+		}
+		for _, c := range []struct {
+			unit      string
+			base, cur float64
+		}{
+			{"evaluations/op", base.EvaluationsPerOp, cur.EvaluationsPerOp},
+			{"generations/op", base.GenerationsPerOp, cur.GenerationsPerOp},
+		} {
+			if c.base != 0 && c.cur != c.base {
+				bad = append(bad, fmt.Sprintf("%s: %.0f %s differs from baseline %.0f",
+					name, c.cur, c.unit, c.base))
+			}
 		}
 	}
 	return bad

@@ -110,3 +110,41 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal("allocs regression passed the gate")
 	}
 }
+
+// TestGateSearchCounts pins the exact gate on a fit's evaluation and
+// generation counts: parsed from their units, passed when equal, failed
+// on any mismatch or when the run omits the metric.
+func TestGateSearchCounts(t *testing.T) {
+	const fitLog = "BenchmarkFit_Musk-2   	       3	  79447036 ns/op	    100061 evaluations/op	       195.0 generations/op	10544493 B/op	   31642 allocs/op\n"
+	res, err := parseBenchOutput(strings.NewReader(fitLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := res["Fit_Musk"]
+	if fit.EvaluationsPerOp != 100061 || fit.GenerationsPerOp != 195 || fit.AllocsPerOp != 31642 {
+		t.Fatalf("Fit_Musk parsed wrong: %+v", fit)
+	}
+	base := map[string]Result{"Fit_Musk": {AllocsPerOp: 34000, EvaluationsPerOp: 100061, GenerationsPerOp: 195}}
+	if bad := gate(base, res); len(bad) != 0 {
+		t.Fatalf("equal counts gated: %v", bad)
+	}
+	cases := []struct {
+		name string
+		cur  Result
+		want string
+	}{
+		{"evaluations", Result{AllocsPerOp: 31642, EvaluationsPerOp: 100062, GenerationsPerOp: 195}, "evaluations/op"},
+		{"generations", Result{AllocsPerOp: 31642, EvaluationsPerOp: 100061, GenerationsPerOp: 194}, "generations/op"},
+		{"missing", Result{AllocsPerOp: 31642, GenerationsPerOp: 195}, "evaluations/op"},
+	}
+	for _, tc := range cases {
+		bad := gate(base, map[string]Result{"Fit_Musk": tc.cur})
+		if len(bad) != 1 || !strings.Contains(bad[0], tc.want) {
+			t.Errorf("%s: violations %v, want one mentioning %q", tc.name, bad, tc.want)
+		}
+	}
+	// A baseline without counts gates none.
+	if bad := gate(map[string]Result{"Fit_Musk": {AllocsPerOp: 34000}}, map[string]Result{"Fit_Musk": {AllocsPerOp: 31642}}); len(bad) != 0 {
+		t.Fatalf("count-free baseline gated: %v", bad)
+	}
+}

@@ -6,10 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"hido/internal/cube"
 	"hido/internal/evo"
 	"hido/internal/xrand"
 )
@@ -206,15 +208,41 @@ func encodeBest(bs *evo.BestSet) []bestEntryState {
 // decodeBest rebuilds a best set from its snapshot. Entries were
 // stored best-first, so re-offering in order reproduces the set (and
 // its internal ordering) exactly.
-func decodeBest(entries []bestEntryState, m, genomeLen int) (*evo.BestSet, error) {
+func decodeBest(path string, entries []bestEntryState, m int, src CountSource, dims []int) (*evo.BestSet, error) {
 	bs := evo.NewBestSet(m)
-	for _, e := range entries {
-		if len(e.Genome) != genomeLen {
-			return nil, fmt.Errorf("core: checkpoint genome has %d positions, want %d", len(e.Genome), genomeLen)
+	for i, e := range entries {
+		if err := checkGenome(e.Genome, src, dims); err != nil {
+			return nil, fmt.Errorf("core: checkpoint %s: best entry %d %v", path, i, err)
 		}
 		bs.Offer(evo.Genome(e.Genome), math.Float64frombits(e.FitBits))
 	}
 	return bs, nil
+}
+
+// checkGenome rejects a stored genome no search over src could have
+// produced: the wrong length, a range above φ, or a constraint outside
+// the searched dimensions (dims, or every dimension when nil). The
+// searches index grid bitmaps by these values and assume members
+// constrain searched dimensions only.
+func checkGenome(g []uint16, src CountSource, dims []int) error {
+	if len(g) != src.D() {
+		return fmt.Errorf("has %d positions, want %d", len(g), src.D())
+	}
+	for j, v := range g {
+		if v == cube.DontCare {
+			continue
+		}
+		if int(v) > src.Phi() {
+			return fmt.Errorf("holds range %d at dimension %d, above phi %d", v, j, src.Phi())
+		}
+		if dims == nil {
+			continue
+		}
+		if _, ok := slices.BinarySearch(dims, j); !ok {
+			return fmt.Errorf("constrains dimension %d outside the searched dimensions", j)
+		}
+	}
+	return nil
 }
 
 // bruteCheckpointer accumulates completed-task snapshots and writes
@@ -255,7 +283,7 @@ func (cp *bruteCheckpointer) restore(sh *bfShared) error {
 		if sh.done[ts.Task] {
 			return fmt.Errorf("core: checkpoint task %d duplicated", ts.Task)
 		}
-		bs, err := decodeBest(ts.Best, sh.opt.M, sh.src.D())
+		bs, err := decodeBest(cp.opt.Path, ts.Best, sh.opt.M, sh.src, sh.opt.Dims)
 		if err != nil {
 			return err
 		}
@@ -333,7 +361,9 @@ func newEvoCheckpointer(opt CheckpointOptions, fp string) *evoCheckpointer {
 
 // restore rebuilds the search and population from a prior snapshot,
 // returning the generation to continue from, the stall counter, and
-// whether anything was restored.
+// whether anything was restored. Every stored genome is validated
+// before any is used, and each member's position list is rebuilt from
+// its genome.
 func (cp *evoCheckpointer) restore(s *search, pop *evo.Population) (nextGen, stall int, ok bool, err error) {
 	cf, err := loadCheckpointFile(cp.opt.Path, "evo", cp.fp)
 	if err != nil || cf == nil {
@@ -353,16 +383,19 @@ func (cp *evoCheckpointer) restore(s *search, pop *evo.Population) (nextGen, sta
 		return 0, 0, false, fmt.Errorf("core: checkpoint %s has inconsistent counters", cp.opt.Path)
 	}
 	for i, mem := range st.Members {
-		if len(mem) != s.src.D() {
-			return 0, 0, false, fmt.Errorf("core: checkpoint member %d has %d positions, want %d", i, len(mem), s.src.D())
+		if err := checkGenome(mem, s.src, s.opt.Dims); err != nil {
+			return 0, 0, false, fmt.Errorf("core: checkpoint %s: member %d %v", cp.opt.Path, i, err)
 		}
-		copy(pop.Members[i], mem)
-		pop.Fitness[i] = math.Float64frombits(st.FitBits[i])
 	}
-	bs, err := decodeBest(st.Best, s.opt.M, s.src.D())
+	bs, err := decodeBest(cp.opt.Path, st.Best, s.opt.M, s.src, s.opt.Dims)
 	if err != nil {
 		return 0, 0, false, err
 	}
+	for i, mem := range st.Members {
+		copy(pop.Members[i], mem)
+		pop.Fitness[i] = math.Float64frombits(st.FitBits[i])
+	}
+	pop.ReindexAll()
 	s.bs = bs
 	s.rng = xrand.FromState(st.RNG)
 	s.evals = st.Evals

@@ -322,3 +322,73 @@ func TestCheckpointRejectedUnderRestartsAndIslands(t *testing.T) {
 func labelW(name string, workers int) string {
 	return fmt.Sprintf("%s workers=%d", name, workers)
 }
+
+// A checkpoint whose members or best entries hold values no search
+// produces — a range above φ, a constraint outside the feature bag —
+// is refused with an error naming the file, never resumed into a panic
+// or into a state the search cannot reach.
+func TestEvoCheckpointRejectsCorruptGenomes(t *testing.T) {
+	det := NewDetector(plantedDataset(300, 8, 63), 4)
+	opt := EvoOptions{K: 3, M: 8, Seed: 5, MaxGenerations: 4, Patience: -1, Dims: []int{0, 1, 3, 4, 6}}
+	path := filepath.Join(t.TempDir(), "evo.ckpt")
+	opt.Checkpoint = &CheckpointOptions{Path: path}
+	if _, err := det.Evolutionary(opt); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// firstConstrained returns the first non-'*' position of g.
+	firstConstrained := func(g []uint16) int {
+		for j, v := range g {
+			if v != 0 {
+				return j
+			}
+		}
+		t.Fatal("checkpointed genome constrains nothing")
+		return -1
+	}
+	cases := []struct {
+		name string
+		edit func(st *evoState)
+	}{
+		{"every member above phi", func(st *evoState) {
+			for _, m := range st.Members {
+				m[firstConstrained(m)] = 99
+			}
+		}},
+		{"one member above phi", func(st *evoState) { st.Members[3][firstConstrained(st.Members[3])] = 5 }},
+		{"member outside the bag", func(st *evoState) { st.Members[0][2] = 1 }},
+		{"best entry above phi", func(st *evoState) { st.Best[0].Genome[firstConstrained(st.Best[0].Genome)] = 99 }},
+		{"best entry outside the bag", func(st *evoState) { st.Best[1].Genome[7] = 2 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var cf checkpointFile
+			if err := json.Unmarshal(clean, &cf); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(cf.Evo)
+			data, err := json.Marshal(&cf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("resume panicked: %v", r)
+				}
+			}()
+			resumed := opt
+			resumed.MaxGenerations = 10
+			resumed.Checkpoint = &CheckpointOptions{Path: path, Resume: true}
+			_, err = det.Evolutionary(resumed)
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("resume from a corrupt checkpoint: err=%v, want an error naming %s", err, path)
+			}
+		})
+	}
+}

@@ -459,8 +459,9 @@ func TestMutationTypeIPreservesK(t *testing.T) {
 	s := newTestSearch(det, EvoOptions{K: 3, M: 5, Seed: 13, MutateP1: 1, MutateP2: -1})
 	g := make(evo.Genome, 6)
 	s.randomGenome(g)
+	pos := cube.Cube(g).Dims()
 	for trial := 0; trial < 100; trial++ {
-		s.mutate(g)
+		s.mutate(g, pos)
 		if got := cube.Cube(g).K(); got != 3 {
 			t.Fatalf("Type I mutation changed K to %d", got)
 		}
@@ -478,9 +479,10 @@ func TestMutationTypeIIChangesValueOnly(t *testing.T) {
 	g := make(evo.Genome, 6)
 	s.randomGenome(g)
 	dims := cube.Cube(g).Dims()
+	pos := cube.Cube(g).Dims()
 	for trial := 0; trial < 100; trial++ {
 		before := g.Clone()
-		s.mutate(g)
+		s.mutate(g, pos)
 		after := cube.Cube(g).Dims()
 		if len(after) != len(dims) {
 			t.Fatalf("Type II mutation changed dimensionality")
@@ -509,7 +511,7 @@ func TestMutationFullDimensionalitySkipsTypeI(t *testing.T) {
 	g := make(evo.Genome, 3)
 	s.randomGenome(g)
 	before := g.Clone()
-	s.mutate(g)
+	s.mutate(g, cube.Cube(g).Dims())
 	for j := range g {
 		if g[j] == cube.DontCare {
 			t.Fatalf("Type I mutation introduced '*' at full dimensionality: %v → %v", before, g)

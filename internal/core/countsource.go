@@ -121,8 +121,10 @@ func (s detectorSource) N() int   { return s.d.N() }
 func (s detectorSource) D() int   { return s.d.D() }
 func (s detectorSource) Phi() int { return s.d.Phi() }
 
-func (s detectorSource) CountKey(c cube.Cube, _ string) int {
-	return s.d.Index.Count(c)
+// CountKey gathers the cube's bitmaps from its key, reading k pairs
+// rather than the cube's d positions.
+func (s detectorSource) CountKey(_ cube.Cube, key string) int {
+	return s.d.Index.CountKey(key)
 }
 
 func (s detectorSource) CountBatch(cs []cube.Cube, keys []string, workers int) []int {

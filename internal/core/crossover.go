@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"hido/internal/cube"
 	"hido/internal/evo"
 	"hido/internal/fanout"
@@ -27,22 +29,25 @@ const (
 // round needs as Partial.Extend requests, and advance consumes them.
 // A pair's state lives on the search and is reused by the pair in the
 // same slot next generation, so steady state allocates nothing.
+//
+// The pair reads and writes only the positions either parent
+// constrains, found by merging the parents' position lists: the first
+// child is built in a and the complementary one in b by swapping the
+// parents' values wherever the first child takes parent B's.
 type xpair struct {
-	s     *search
-	rng   *xrand.RNG
-	own   xrand.RNG  // the pair's private stream, drawn from the master
-	a, b  evo.Genome // parents; finish overwrites them with the children
-	evals int
+	s      *search
+	rng    *xrand.RNG
+	own    xrand.RNG // the pair's private stream, drawn from the master
+	pop    *evo.Population
+	ia, ib int        // the parents' member slots
+	a, b   evo.Genome // parents; the pair turns them into the children
+	evals  int
 
 	stage int
 	round int // Type II: prefix block; greedy II: diff index; Type III: steps taken
 	need  int // Type III steps to take
 
-	child evo.Genome
-	// fromA[j] records which parent child position j derives from, so
-	// the complementary child can invert the derivation.
-	fromA  []bool
-	equal  []int // both parents constrained, equal values
+	union  []int // positions either parent constrains, ascending
 	diff   []int // both parents constrained, differing values (k'')
 	cands  []xcand
 	best   int       // lowest Type II leaf count so far (-1: none)
@@ -54,11 +59,12 @@ type xpair struct {
 }
 
 // xcand is a Type III candidate: the one parent range at a position
-// where the other parent is '*'. A consumed candidate has pos < 0.
+// where the other parent is '*'. taken marks one the child added.
 type xcand struct {
 	pos   int
 	rng   uint16
 	fromA bool
+	taken bool
 }
 
 // crossoverAll matches the population pairwise and replaces each pair
@@ -78,7 +84,7 @@ func (s *search) crossoverAll(pop *evo.Population) {
 	for i, pr := range pairs {
 		x := xs[i]
 		x.own = *xrand.New(s.rng.Uint64())
-		x.start(pop.Members[pr[0]], pop.Members[pr[1]], &x.own)
+		x.start(pop, pr[0], pr[1], &x.own)
 	}
 	if bs, ok := s.src.(BatchSource); ok {
 		s.batchedRounds(bs, xs)
@@ -152,55 +158,65 @@ func (x *xpair) run() {
 // Under two-point crossover, or when either parent is infeasible
 // (dimensionality ≠ k — possible only when resuming from a two-point
 // population), the pair recombines at once by the two-point baseline,
-// which is defined for any pair.
-func (x *xpair) start(a, b evo.Genome, rng *xrand.RNG) {
+// which is defined for any pair; its children can have any
+// dimensionality, so their position lists are rebuilt by a scan.
+func (x *xpair) start(pop *evo.Population, ia, ib int, rng *xrand.RNG) {
+	a, b := pop.Members[ia], pop.Members[ib]
+	pa, pb := pop.Pos[ia], pop.Pos[ib]
+	x.pop, x.ia, x.ib = pop, ia, ib
 	x.a, x.b, x.rng, x.evals = a, b, rng, 0
 	x.stage = xTwoPoint
 	k := x.s.opt.K
 	switch x.s.opt.Crossover {
 	case OptimizedCrossover:
-		if cube.Cube(a).K() != k || cube.Cube(b).K() != k {
-			twoPoint(a, b, rng)
+		if len(pa) != k || len(pb) != k {
+			x.twoPoint()
 			return
 		}
 	case TwoPointCrossover:
-		twoPoint(a, b, rng)
+		x.twoPoint()
 		return
 	default:
 		panic("core: unknown crossover kind")
 	}
 
-	d := len(a)
-	x.child = append(x.child[:0], make(evo.Genome, d)...)
-	x.fromA = append(x.fromA[:0], make([]bool, d)...)
-	x.equal, x.diff, x.cands = x.equal[:0], x.diff[:0], x.cands[:0]
-	for j := range a {
-		av, bv := a[j], b[j]
-		switch {
-		case av != cube.DontCare && bv != cube.DontCare:
-			if av == bv {
-				x.equal = append(x.equal, j)
-			} else {
-				x.diff = append(x.diff, j)
-			}
-		case av != cube.DontCare:
-			x.cands = append(x.cands, xcand{j, av, true})
-		case bv != cube.DontCare:
-			x.cands = append(x.cands, xcand{j, bv, false})
-		}
-	}
-
-	// Type II, equal values: either parent works; attribute to A.
+	// Merge the parents' lists: the union in ascending order, each
+	// position classified as it is met. Type II positions with equal
+	// values go straight into the base: either parent works, and the
+	// child keeps parent A's value.
 	if x.base == nil {
 		x.base = x.s.src.NewPartial()
 	}
 	x.base.Reset()
-	for _, j := range x.equal {
-		x.child[j] = a[j]
-		x.fromA[j] = true
-		x.base.Constrain(j, a[j])
+	x.union = slices.Grow(x.union[:0], 2*k)
+	x.cands = slices.Grow(x.cands[:0], 2*k)
+	x.diff = slices.Grow(x.diff[:0], k)
+	equal := 0
+	for i, l := 0, 0; i < len(pa) || l < len(pb); {
+		var j int
+		switch {
+		case l == len(pb) || i < len(pa) && pa[i] < pb[l]:
+			j = pa[i]
+			i++
+			x.cands = append(x.cands, xcand{pos: j, rng: a[j], fromA: true})
+		case i == len(pa) || pb[l] < pa[i]:
+			j = pb[l]
+			l++
+			x.cands = append(x.cands, xcand{pos: j, rng: b[j]})
+		default:
+			j = pa[i]
+			i++
+			l++
+			if a[j] == b[j] {
+				x.base.Constrain(j, a[j])
+				equal++
+			} else {
+				x.diff = append(x.diff, j)
+			}
+		}
+		x.union = append(x.union, j)
 	}
-	x.need = k - len(x.equal) - len(x.diff)
+	x.need = k - equal - len(x.diff)
 	x.round = 0
 	switch {
 	case len(x.diff) == 0:
@@ -246,7 +262,7 @@ func (x *xpair) queue(xs []Extension) []Extension {
 	case xTypeIII:
 		if x.round < x.need {
 			for _, c := range x.cands {
-				if c.pos >= 0 {
+				if !c.taken {
 					xs = append(xs, Extension{x.base, c.pos, c.rng})
 				}
 			}
@@ -323,8 +339,8 @@ func (x *xpair) advance(counts []int) {
 		bestIdx, bestCount, nbest := -1, -1, 0
 		i := 0
 		for ci, c := range x.cands {
-			if c.pos < 0 {
-				continue // consumed
+			if c.taken {
+				continue
 			}
 			x.evals++
 			n := counts[i]
@@ -339,54 +355,66 @@ func (x *xpair) advance(counts []int) {
 				}
 			}
 		}
+		x.cands[bestIdx].taken = true
 		c := x.cands[bestIdx]
-		x.child[c.pos] = c.rng
-		x.fromA[c.pos] = c.fromA
 		x.base.Constrain(c.pos, c.rng)
-		x.cands[bestIdx].pos = -1
 		x.round++
 	}
 }
 
-// take sets Type II position j from parent A (or B) and adds the
-// constraint to the base.
+// take sets Type II position j of the first child from parent A (or
+// B) and adds the constraint to the base. The position is settled, so
+// the children are written at once: taking B swaps the parents' values.
 func (x *xpair) take(j int, fromA bool) {
-	if fromA {
-		x.child[j], x.fromA[j] = x.a[j], true
-	} else {
-		x.child[j] = x.b[j]
+	if !fromA {
+		x.a[j], x.b[j] = x.b[j], x.a[j]
 	}
-	x.base.Constrain(j, x.child[j])
+	x.base.Constrain(j, x.a[j])
 }
 
-// finish writes the children over the parents: the first child into
-// a, the complementary one — every position from the other parent —
-// into b. Two-point pairs recombined in start and have nothing left.
+// finish completes the children in place: the first child in a, the
+// complementary one — every position from the other parent — in b.
+// At a Type III position the first child holds the candidate's range
+// if it took it and '*' otherwise, so it derives from B exactly when
+// taken differs from fromA, and there the parents swap values. Both
+// children then constrain only positions of the union, whose ascending
+// order gives their new lists. Two-point pairs recombined in start and
+// have nothing left.
 func (x *xpair) finish() {
 	if x.stage == xTwoPoint {
 		return
 	}
-	// Positions not chosen keep DontCare in the child; their derivation
-	// flag must point at the parent whose entry is '*' there, so the
-	// complementary child picks up the other parent's range.
+	a, b := x.a, x.b
 	for _, c := range x.cands {
-		if c.pos >= 0 {
-			x.fromA[c.pos] = !c.fromA
+		if c.taken != c.fromA {
+			a[c.pos], b[c.pos] = b[c.pos], a[c.pos]
 		}
 	}
-	// Where the child derives from A it already equals a.
-	for j, v := range x.child {
-		if !x.fromA[j] {
-			x.a[j], x.b[j] = v, x.a[j]
+	pa, pb := x.pop.Pos[x.ia][:0], x.pop.Pos[x.ib][:0]
+	for _, j := range x.union {
+		if a[j] != cube.DontCare {
+			pa = append(pa, j)
+		}
+		if b[j] != cube.DontCare {
+			pb = append(pb, j)
 		}
 	}
+	x.pop.Pos[x.ia], x.pop.Pos[x.ib] = pa, pb
+}
+
+// twoPoint recombines the pair by the two-point baseline and rebuilds
+// both children's position lists.
+func (x *xpair) twoPoint() {
+	twoPoint(x.a, x.b, x.rng)
+	x.pop.Reindex(x.ia)
+	x.pop.Reindex(x.ib)
 }
 
 // twoPoint is the unbiased baseline, in place: exchange the segments
 // to the right of a uniformly random cut point. Following the paper's
 // example (3*2*1 × 1*33* → 3*23* and 1*3*1), the cut falls strictly
 // inside the string. Children of the wrong dimensionality survive
-// into the population and are penalized by evaluate.
+// into the population and are penalized by evaluateAll.
 func twoPoint(a, b evo.Genome, rng *xrand.RNG) {
 	d := len(a)
 	if d < 2 {

@@ -14,13 +14,24 @@ import (
 // RNG stream and returns the children, leaving the parents untouched —
 // the operator-level form of what crossoverAll does to every pair.
 func (s *search) recombine(a, b evo.Genome) (evo.Genome, evo.Genome) {
-	ca, cb := a.Clone(), b.Clone()
+	pop := populationOf(a, b)
 	x := &xpair{s: s}
-	x.start(ca, cb, s.rng)
+	x.start(pop, 0, 1, s.rng)
 	x.run()
 	x.finish()
 	s.evals += x.evals
-	return ca, cb
+	return pop.Members[0], pop.Members[1]
+}
+
+// populationOf returns a population holding copies of the genomes,
+// with their position lists built.
+func populationOf(gs ...evo.Genome) *evo.Population {
+	pop := evo.NewPopulation(len(gs), len(gs[0]))
+	for i, g := range gs {
+		copy(pop.Members[i], g)
+		pop.Reindex(i)
+	}
+	return pop
 }
 
 // twoPoint is the two-point baseline on the master RNG stream,
@@ -373,6 +384,8 @@ func TestCrossoverAllRounds(t *testing.T) {
 					pop := evo.NewPopulation(40, tc.d)
 					for i := 0; i < len(pop.Members); i += 2 {
 						pop.Members[i], pop.Members[i+1] = tc.parents(gen, tc.d, opt.K, tc.phi)
+						pop.Reindex(i)
+						pop.Reindex(i + 1)
 					}
 					want := make([]evo.Genome, len(pop.Members))
 					master := xrand.FromState(s.rng.State())

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"hido/internal/cube"
@@ -172,9 +173,6 @@ type search struct {
 	// lastDistinct is the latest generation's distinct-genome count,
 	// maintained by evaluateAll only when the run is observed.
 	lastDistinct int
-	// stars and filled are mutate's position lists, reused for every
-	// member so a generation's mutations allocate nothing.
-	stars, filled []int
 }
 
 type fitEntry struct {
@@ -251,9 +249,7 @@ func EvolutionaryOver(src CountSource, opt EvoOptions) (*Result, error) {
 		}
 	}
 	if !restored {
-		for i := range pop.Members {
-			s.randomGenome(pop.Members[i])
-		}
+		s.randomPopulation(pop)
 		s.evaluateAll(pop)
 	}
 
@@ -312,6 +308,15 @@ func (s *search) randomGenome(g evo.Genome) {
 	}
 }
 
+// randomPopulation fills every member with a random genome and builds
+// the position lists.
+func (s *search) randomPopulation(pop *evo.Population) {
+	for i := range pop.Members {
+		s.randomGenome(pop.Members[i])
+	}
+	pop.ReindexAll()
+}
+
 // sparsityOf converts a raw count into the sparsity coefficient
 // (Equation 1) at this search's projection dimensionality.
 func (s *search) sparsityOf(n int) float64 {
@@ -326,14 +331,14 @@ func (s *search) sparsityOf(n int) float64 {
 // only under two-point crossover) receive +Inf, the worst value for
 // the minimizing search ("assigned very low fitness values", §2.2).
 //
-// Each member's key is built once, into the search's reused key
-// buffer; memo lookups read it without allocating, and only a cube
-// the run has never seen gets a key string of its own.
+// Each member's key is built once, from its position list, into the
+// search's reused key buffer; memo lookups read it without allocating,
+// and only a cube the run has never seen gets a key string of its own.
 func (s *search) evaluateAll(pop *evo.Population) {
 	n := pop.Len()
 	s.keyBuf, s.keyEnd = s.keyBuf[:0], s.keyEnd[:0]
-	for _, g := range pop.Members {
-		s.keyBuf = cube.Cube(g).AppendKey(s.keyBuf)
+	for i, g := range pop.Members {
+		s.keyBuf = cube.Cube(g).AppendKeyAt(s.keyBuf, pop.Pos[i])
 		s.keyEnd = append(s.keyEnd, len(s.keyBuf))
 	}
 
@@ -348,13 +353,12 @@ func (s *search) evaluateAll(pop *evo.Population) {
 			continue
 		}
 		key := string(s.memberKey(i))
-		c := cube.Cube(pop.Members[i])
-		if c.K() != s.opt.K {
+		if len(pop.Pos[i]) != s.opt.K {
 			s.cache[key] = fitEntry{sparsity: math.Inf(1), count: -1}
 			continue
 		}
 		s.cache[key] = fitEntry{}
-		cs = append(cs, c)
+		cs = append(cs, cube.Cube(pop.Members[i]))
 		ks = append(ks, key)
 		s.evals++
 	}
@@ -392,26 +396,6 @@ func (s *search) memberKey(i int) []byte {
 	return s.keyBuf[start:s.keyEnd[i]]
 }
 
-// evaluate scores one genome through the run-local memo — the scalar
-// form of evaluateAll, used by operator-level tests.
-func (s *search) evaluate(g evo.Genome) float64 {
-	key := g.Key()
-	if e, ok := s.cache[key]; ok {
-		return e.sparsity
-	}
-	c := cube.Cube(g)
-	var e fitEntry
-	if c.K() != s.opt.K {
-		e = fitEntry{sparsity: math.Inf(1), count: -1}
-	} else {
-		s.evals++
-		e.count = s.src.CountKey(c, key)
-		e.sparsity = s.sparsityOf(e.count)
-	}
-	s.cache[key] = e
-	return e.sparsity
-}
-
 // offerAll submits the whole population to the best set in member
 // order and reports whether the set improved. It reads the member keys
 // of the evaluateAll that scored the population.
@@ -445,11 +429,13 @@ func (s *search) offer(g evo.Genome, key []byte, fitness float64) bool {
 // mutateAll applies Figure 6 to every string in the population.
 func (s *search) mutateAll(pop *evo.Population) {
 	for i := range pop.Members {
-		s.mutate(pop.Members[i])
+		s.mutate(pop.Members[i], pop.Pos[i])
 	}
 }
 
-// mutate applies the two mutation types to one string in place.
+// mutate applies the two mutation types to one string in place and
+// keeps pos, the string's sorted position list, current. Neither type
+// changes the dimensionality, so pos keeps its length.
 //
 // Type I (probability p1): exchange a dimension — a random '*'
 // position receives a random range and a random non-'*' position
@@ -457,48 +443,52 @@ func (s *search) mutateAll(pop *evo.Population) {
 //
 // Type II (probability p2): a random non-'*' position changes to a
 // different random range.
-func (s *search) mutate(g evo.Genome) {
+//
+// Only searched dimensions are '*' candidates: a Type I swap must not
+// leak a constraint outside the feature bag. Members constrain bag
+// dimensions only, so the non-'*' positions are exactly pos.
+func (s *search) mutate(g evo.Genome, pos []int) {
 	if s.rng.Bernoulli(s.opt.MutateP1) {
-		stars, filled := s.stars[:0], s.filled[:0]
-		// Only searched dimensions participate: a Type I swap must not
-		// leak a constraint outside the feature bag. Genomes constrain
-		// bag dimensions only, so `filled` is unaffected by the
-		// restriction and the full-bag iteration is identical to the
-		// historical all-dimensions loop.
-		for _, j := range s.dims {
-			if g[j] == cube.DontCare {
-				stars = append(stars, j)
-			} else {
-				filled = append(filled, j)
-			}
-		}
-		s.stars, s.filled = stars, filled
-		if len(stars) > 0 && len(filled) > 0 {
-			in := stars[s.rng.Intn(len(stars))]
-			out := filled[s.rng.Intn(len(filled))]
+		if stars := len(s.dims) - len(pos); stars > 0 && len(pos) > 0 {
+			in := s.star(pos, s.rng.Intn(stars))
+			o := s.rng.Intn(len(pos))
 			g[in] = uint16(s.rng.IntRange(1, s.src.Phi()))
-			g[out] = cube.DontCare
+			g[pos[o]] = cube.DontCare
+			// Put in where out was, then move it to its sorted place.
+			pos[o] = in
+			for ; o > 0 && pos[o-1] > in; o-- {
+				pos[o], pos[o-1] = pos[o-1], in
+			}
+			for ; o+1 < len(pos) && pos[o+1] < in; o++ {
+				pos[o], pos[o+1] = pos[o+1], in
+			}
 		}
 	}
-	if s.rng.Bernoulli(s.opt.MutateP2) {
-		filled := s.filled[:0]
-		for j, v := range g {
-			if v != cube.DontCare {
-				filled = append(filled, j)
-			}
-		}
-		s.filled = filled
-		if len(filled) > 0 {
-			j := filled[s.rng.Intn(len(filled))]
-			if phi := s.src.Phi(); phi > 1 {
-				old := g[j]
-				for {
-					g[j] = uint16(s.rng.IntRange(1, phi))
-					if g[j] != old {
-						break
-					}
+	if s.rng.Bernoulli(s.opt.MutateP2) && len(pos) > 0 {
+		j := pos[s.rng.Intn(len(pos))]
+		if phi := s.src.Phi(); phi > 1 {
+			old := g[j]
+			for {
+				g[j] = uint16(s.rng.IntRange(1, phi))
+				if g[j] != old {
+					break
 				}
 			}
 		}
 	}
+}
+
+// star returns the q-th (0-based) searched dimension, in increasing
+// order, that pos leaves '*'. Each constrained position at or below
+// the running index shifts it up by one; a binary search places a
+// position within the searched dimensions, which is the position
+// itself when every dimension is searched.
+func (s *search) star(pos []int, q int) int {
+	for _, j := range pos {
+		if sort.SearchInts(s.dims, j) > q {
+			break
+		}
+		q++
+	}
+	return s.dims[q]
 }

@@ -15,9 +15,7 @@ func TestSelectMutateAllocFree(t *testing.T) {
 		opt := EvoOptions{K: 3, M: 10, Seed: 11, Selection: strategy}.withDefaults()
 		s := newSearch(det.source(), opt)
 		pop := evo.NewPopulation(opt.PopSize, det.D())
-		for i := range pop.Members {
-			s.randomGenome(pop.Members[i])
-		}
+		s.randomPopulation(pop)
 		s.evaluateAll(pop)
 		generation := func() {
 			pop.Select(strategy, s.rng)
@@ -45,9 +43,7 @@ func TestMigrateThenSelectOwnsBuffers(t *testing.T) {
 		o.Seed = uint64(i + 1)
 		s := newSearch(det.source(), o)
 		pop := evo.NewPopulation(o.PopSize, det.D())
-		for m := range pop.Members {
-			s.randomGenome(pop.Members[m])
-		}
+		s.randomPopulation(pop)
 		s.evaluateAll(pop)
 		s.offerAll(pop)
 		searches, islands = append(searches, s), append(islands, pop)

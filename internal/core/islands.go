@@ -111,9 +111,7 @@ func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 	}
 	fanout.For(opt.Islands, outer, func(i int) {
 		s, pop := searches[i], islands[i]
-		for m := range pop.Members {
-			s.randomGenome(pop.Members[m])
-		}
+		s.randomPopulation(pop)
 		s.evaluateAll(pop)
 		s.offerAll(pop)
 	})
@@ -208,7 +206,8 @@ func mergeBestSets(searches []*search, m int) *evo.BestSet {
 }
 
 // migrate copies each island's best `migrants` members over the next
-// island's worst members (ring topology).
+// island's worst members (ring topology), rebuilding each immigrant's
+// position list from its genome.
 func migrate(islands []*evo.Population, migrants int) {
 	type ranked struct {
 		idx []int
@@ -245,6 +244,7 @@ func migrate(islands []*evo.Population, migrants int) {
 			slot := dstOrder[len(dstOrder)-1-m]
 			dst.Members[slot] = em.genome
 			dst.Fitness[slot] = em.fitness
+			dst.Reindex(slot)
 		}
 	}
 }

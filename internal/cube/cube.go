@@ -59,13 +59,18 @@ type DimRange struct {
 
 // Dims returns the constrained dimensions in increasing order.
 func (c Cube) Dims() []int {
-	out := make([]int, 0, 4)
+	return c.AppendDims(make([]int, 0, 4))
+}
+
+// AppendDims appends the constrained dimensions, in increasing order,
+// to dst and returns the extended slice.
+func (c Cube) AppendDims(dst []int) []int {
 	for j, v := range c {
 		if v != DontCare {
-			out = append(out, j)
+			dst = append(dst, j)
 		}
 	}
-	return out
+	return dst
 }
 
 // Pairs returns the constraints in dimension order.
@@ -175,11 +180,63 @@ func (c Cube) Key() string {
 func (c Cube) AppendKey(dst []byte) []byte {
 	for j, v := range c {
 		if v != DontCare {
-			dst = binary.AppendUvarint(dst, uint64(j))
-			dst = binary.AppendUvarint(dst, uint64(v))
+			dst = appendKeyPair(dst, j, v)
 		}
 	}
 	return dst
+}
+
+// AppendKeyAt is AppendKey for a caller that holds the cube's
+// constrained dimensions in increasing order (AppendDims): it reads
+// only those positions, O(k) instead of O(d).
+func (c Cube) AppendKeyAt(dst []byte, dims []int) []byte {
+	for _, j := range dims {
+		dst = appendKeyPair(dst, j, c[j])
+	}
+	return dst
+}
+
+func appendKeyPair(dst []byte, j int, v uint16) []byte {
+	dst = binary.AppendUvarint(dst, uint64(j))
+	return binary.AppendUvarint(dst, uint64(v))
+}
+
+// DecodeKeyPair decodes the first (dimension, range) pair of a Key
+// and returns it with the number of key bytes it took. n is 0 when key
+// is empty and negative when its first pair is malformed. Decoding a
+// whole key is a loop over key[n:] until it is empty.
+func DecodeKeyPair(key string) (p DimRange, n int) {
+	if key == "" {
+		return DimRange{}, 0
+	}
+	dim, n1 := keyUvarint(key)
+	if n1 <= 0 {
+		return DimRange{}, -1
+	}
+	v, n2 := keyUvarint(key[n1:])
+	if n2 <= 0 || v == uint64(DontCare) || v > uint64(^uint16(0)) || dim > uint64(^uint(0)>>1) {
+		return DimRange{}, -1
+	}
+	return DimRange{Dim: int(dim), Range: uint16(v)}, n1 + n2
+}
+
+// keyUvarint is binary.Uvarint over a string, so a key held as a map
+// key decodes without a copy.
+func keyUvarint(s string) (uint64, int) {
+	var x uint64
+	var shift uint
+	for i := 0; i < len(s) && i < binary.MaxVarintLen64; i++ {
+		b := s[i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, -1 // overflows 64 bits
+			}
+			return x | uint64(b)<<shift, i + 1
+		}
+		x |= uint64(b&0x7f) << shift
+		shift += 7
+	}
+	return 0, -1
 }
 
 // String renders the paper's notation: '*' for DontCare, the range

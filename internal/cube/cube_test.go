@@ -1,8 +1,11 @@
 package cube
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"hido/internal/xrand"
 )
 
 func TestNewAllDontCare(t *testing.T) {
@@ -132,6 +135,64 @@ func TestAppendKey(t *testing.T) {
 	}
 	if New(5).Key() != "" {
 		t.Errorf("all-DontCare key %q, want empty", New(5).Key())
+	}
+}
+
+// TestKeyDecodeRoundTrip decodes the keys of random cubes pair by
+// pair back into their constraints, checks that AppendKeyAt over the
+// constrained dimensions builds the same key, and that a key cut
+// inside a pair or carrying a '*' range is rejected.
+func TestKeyDecodeRoundTrip(t *testing.T) {
+	r := xrand.New(5)
+	for trial := 0; trial < 3000; trial++ {
+		d := 1 + r.Intn(40)
+		if r.Bool() {
+			d = 1 + r.Intn(20000)
+		}
+		c := New(d)
+		for _, j := range r.Sample(d, r.Intn(min(d, 8)+1)) {
+			if r.Bool() {
+				c[j] = uint16(r.IntRange(1, 9))
+			} else {
+				c[j] = uint16(r.IntRange(1, 65535))
+			}
+		}
+		key := c.Key()
+		if at := string(c.AppendKeyAt(nil, c.Dims())); at != key {
+			t.Fatalf("%v: AppendKeyAt %q, Key %q", c.Pairs(), at, key)
+		}
+		var got []DimRange
+		var ends []int
+		for rest := key; rest != ""; {
+			p, n := DecodeKeyPair(rest)
+			if n <= 0 {
+				t.Fatalf("%v: key %q rejected at %q", c.Pairs(), key, rest)
+			}
+			got = append(got, p)
+			rest = rest[n:]
+			ends = append(ends, len(key)-len(rest))
+		}
+		if want := c.Pairs(); !slices.Equal(got, want) {
+			t.Fatalf("key %q decodes to %v, want %v", key, got, want)
+		}
+		// Every cut strictly inside the last pair leaves a malformed tail.
+		if len(ends) > 0 {
+			start := 0
+			if len(ends) > 1 {
+				start = ends[len(ends)-2]
+			}
+			for cut := start + 1; cut < len(key); cut++ {
+				if _, n := DecodeKeyPair(key[start:cut]); n >= 0 {
+					t.Fatalf("key %q cut to %q decodes (n=%d)", key, key[start:cut], n)
+				}
+			}
+		}
+	}
+	if _, n := DecodeKeyPair(""); n != 0 {
+		t.Errorf("empty key: n=%d, want 0", n)
+	}
+	if _, n := DecodeKeyPair("\x03\x00"); n >= 0 {
+		t.Errorf("a '*' range decoded (n=%d)", n)
 	}
 }
 

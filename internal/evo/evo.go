@@ -5,10 +5,14 @@
 // per-generation statistics.
 //
 // The genome is a plain []uint16 — the paper's string encoding, where
-// 0 is the don't-care '*' and 1..φ identify grid ranges. The
-// problem-specific operators (optimized crossover, the two mutation
-// types) live in the core package because they need grid counts; this
-// package owns everything that is generic evolutionary bookkeeping.
+// 0 is the don't-care '*' and 1..φ identify grid ranges. A string has
+// one position per dimension but constrains only k ≪ d of them, so
+// every population member also carries the sorted list of its
+// constrained positions, and the per-member steps read that list
+// instead of the d-length string. The problem-specific operators
+// (optimized crossover, the two mutation types) live in the core
+// package because they need grid counts; this package owns everything
+// that is generic evolutionary bookkeeping.
 package evo
 
 import (
@@ -55,29 +59,75 @@ func (g Genome) compare(o Genome) int {
 type Population struct {
 	Members []Genome
 	Fitness []float64
+	// Pos[i] lists the positions Members[i] constrains — its non-'*'
+	// genes — in increasing order. Select carries each list with its
+	// genome and operators that edit a genome keep its list current;
+	// code that writes a genome any other way calls Reindex.
+	Pos [][]int
 
-	// next and nextFit receive Select's draws and are then swapped with
-	// Members and Fitness, so every generation after the first reuses
-	// the previous generation's genome buffers. order, weights and cum
-	// are the rank roulette's scratch.
+	// next, nextFit and nextPos receive Select's draws and are then
+	// swapped with Members, Fitness and Pos, so every generation after
+	// the first reuses the previous generation's buffers. order,
+	// weights and cum are the rank roulette's scratch; genes is
+	// ConvergedFraction's.
 	next    []Genome
 	nextFit []float64
+	nextPos [][]int
 	order   []int
 	weights []float64
 	cum     []float64
+	genes   []uint64
 }
 
 // NewPopulation allocates a population of size p with genomes of the
-// given length, all zero. Callers fill the members before use.
+// given length, all zero. Callers fill the members, and ReindexAll
+// them, before use.
 func NewPopulation(p, genomeLen int) *Population {
-	pop := &Population{
-		Members: make([]Genome, p),
+	return &Population{
+		Members: genomes(p, genomeLen),
 		Fitness: make([]float64, p),
+		Pos:     make([][]int, p),
 	}
+}
+
+// genomes returns p zero genomes of length n carved from one array.
+func genomes(p, n int) []Genome {
+	buf := make([]uint16, p*n)
+	out := make([]Genome, p)
+	for i := range out {
+		out[i] = buf[i*n : (i+1)*n : (i+1)*n]
+	}
+	return out
+}
+
+// lists returns p empty position lists of capacity n carved from one
+// array.
+func lists(p, n int) [][]int {
+	buf := make([]int, p*n)
+	out := make([][]int, p)
+	for i := range out {
+		out[i] = buf[i*n : i*n : (i+1)*n]
+	}
+	return out
+}
+
+// Reindex rebuilds Pos[i] from Members[i] — an O(d) scan, for a genome
+// that enters the population from outside the operators.
+func (pop *Population) Reindex(i int) {
+	pop.Pos[i] = cube.Cube(pop.Members[i]).AppendDims(pop.Pos[i][:0])
+}
+
+// ReindexAll rebuilds every member's list, as Reindex does, into
+// lists that share one array sized to the longest.
+func (pop *Population) ReindexAll() {
+	n := 0
+	for _, g := range pop.Members {
+		n = max(n, cube.Cube(g).K())
+	}
+	pop.Pos = lists(pop.Len(), n)
 	for i := range pop.Members {
-		pop.Members[i] = make(Genome, genomeLen)
+		pop.Reindex(i)
 	}
-	return pop
 }
 
 // Len returns the population size.
@@ -189,22 +239,27 @@ func (s Selection) String() string {
 }
 
 // Select replaces the population with p members drawn according to the
-// strategy. Fitness values travel with their genomes, so no
-// re-evaluation is needed. Each draw is copied into a buffer of its own,
-// never aliased, because crossover and mutation edit the members in
-// place. The buffers are the previous generation's, kept by the
-// population and swapped with Members, so steady-state selection
-// allocates nothing. A genome taken out of Members must therefore be
-// cloned to outlive the next Select, as BestSet and island migration
-// do.
+// strategy. Fitness values and position lists travel with their
+// genomes, so no re-evaluation is needed. Each draw is copied into a
+// buffer of its own, never aliased, because crossover and mutation
+// edit the members in place. The buffers are the previous
+// generation's, kept by the population and swapped with Members, so
+// steady-state selection allocates nothing. A genome taken out of
+// Members must therefore be cloned to outlive the next Select, as
+// BestSet and island migration do.
 func (pop *Population) Select(strategy Selection, rng *xrand.RNG) {
 	p := pop.Len()
 	if p == 0 {
 		return
 	}
 	if len(pop.next) != p {
-		pop.next = make([]Genome, p)
+		n := 0
+		for _, pos := range pop.Pos {
+			n = max(n, len(pos))
+		}
+		pop.next = genomes(p, len(pop.Members[0]))
 		pop.nextFit = make([]float64, p)
+		pop.nextPos = lists(p, n)
 	}
 	switch strategy {
 	case RankRoulette:
@@ -277,13 +332,15 @@ func (pop *Population) Select(strategy Selection, rng *xrand.RNG) {
 	}
 	pop.Members, pop.next = pop.next, pop.Members
 	pop.Fitness, pop.nextFit = pop.nextFit, pop.Fitness
+	pop.Pos, pop.nextPos = pop.nextPos, pop.Pos
 }
 
-// draw copies member j and its fitness into slot i of the generation
-// Select is building.
+// draw copies member j, its fitness and its position list into slot i
+// of the generation Select is building.
 func (pop *Population) draw(i, j int) {
 	pop.next[i] = append(pop.next[i][:0], pop.Members[j]...)
 	pop.nextFit[i] = pop.Fitness[j]
+	pop.nextPos[i] = append(pop.nextPos[i][:0], pop.Pos[j]...)
 }
 
 // Pairs returns a random pairing of the population for crossover
@@ -299,38 +356,52 @@ func (pop *Population) Pairs(rng *xrand.RNG) [][2]int {
 }
 
 // ConvergedFraction returns the fraction of gene positions at which at
-// least threshold of the population share one value.
+// least threshold of the population share one value. It reads the
+// position lists, so it costs O(p·k·log(p·k)), not O(p·d): a position
+// no member constrains is '*' in every member and agrees by
+// definition. It keeps scratch on the population, so concurrent calls
+// on one population are not safe.
 func (pop *Population) ConvergedFraction(threshold float64) float64 {
-	if pop.Len() == 0 || len(pop.Members[0]) == 0 {
+	p := pop.Len()
+	if p == 0 || len(pop.Members[0]) == 0 {
 		return 0
 	}
-	genomeLen := len(pop.Members[0])
-	// Gene values are grid ranges bounded by φ (0 = don't-care), so a
-	// dense counter array beats a map; size it to the largest value
-	// present.
-	maxVal := uint16(0)
-	for _, g := range pop.Members {
-		for _, v := range g {
-			if v > maxVal {
-				maxVal = v
-			}
+	// Every constrained gene as (position, value), sorted: a position's
+	// run holds the members constraining it, and each value's sub-run
+	// the members agreeing on that value.
+	n := 0
+	for _, pos := range pop.Pos {
+		n += len(pos)
+	}
+	genes := slices.Grow(pop.genes[:0], n)
+	for i, pos := range pop.Pos {
+		g := pop.Members[i]
+		for _, j := range pos {
+			genes = append(genes, uint64(j)<<16|uint64(g[j]))
 		}
 	}
-	counts := make([]int, int(maxVal)+1)
-	converged := 0
-	need := threshold * float64(pop.Len())
-	for pos := 0; pos < genomeLen; pos++ {
-		clear(counts)
-		max := 0
-		for _, g := range pop.Members {
-			counts[g[pos]]++
-			if counts[g[pos]] > max {
-				max = counts[g[pos]]
+	slices.Sort(genes)
+	pop.genes = genes
+	need := threshold * float64(p)
+	constrained, converged := 0, 0
+	for lo := 0; lo < len(genes); {
+		j, hi, most := genes[lo]>>16, lo, 0
+		for run := lo; hi < len(genes) && genes[hi]>>16 == j; hi++ {
+			if genes[hi] != genes[run] {
+				run = hi
 			}
+			most = max(most, hi-run+1)
 		}
-		if float64(max) >= need {
+		stars := p - (hi - lo)
+		if float64(max(most, stars)) >= need {
 			converged++
 		}
+		constrained++
+		lo = hi
+	}
+	genomeLen := len(pop.Members[0])
+	if float64(p) >= need {
+		converged += genomeLen - constrained
 	}
 	return float64(converged) / float64(genomeLen)
 }

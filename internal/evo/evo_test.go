@@ -237,6 +237,7 @@ func TestConvergence(t *testing.T) {
 	pop := NewPopulation(20, 3)
 	for i := range pop.Members {
 		pop.Members[i] = Genome{1, 2, 3}
+		pop.Reindex(i)
 	}
 	if !pop.Converged() {
 		t.Error("identical population not converged")
@@ -244,6 +245,8 @@ func TestConvergence(t *testing.T) {
 	// Perturb one gene on 2 of 20 members (90% agreement < 95%).
 	pop.Members[0] = Genome{9, 2, 3}
 	pop.Members[1] = Genome{8, 2, 3}
+	pop.Reindex(0)
+	pop.Reindex(1)
 	if pop.Converged() {
 		t.Error("90%-agreeing gene counted as converged")
 	}
@@ -252,6 +255,7 @@ func TestConvergence(t *testing.T) {
 	}
 	// One dissenter in 20 → 95% agreement → converged.
 	pop.Members[1] = Genome{1, 2, 3}
+	pop.Reindex(1)
 	if !pop.Converged() {
 		t.Error("95%-agreeing population not converged")
 	}

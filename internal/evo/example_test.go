@@ -30,11 +30,14 @@ func ExamplePopulation_Converged() {
 	pop := evo.NewPopulation(20, 2)
 	for i := range pop.Members {
 		pop.Members[i] = evo.Genome{3, 1}
+		pop.Reindex(i)
 	}
 	fmt.Println(pop.Converged())
 	pop.Members[0] = evo.Genome{2, 1} // 95% still agree
+	pop.Reindex(0)
 	fmt.Println(pop.Converged())
 	pop.Members[1] = evo.Genome{2, 1} // 90%: not converged
+	pop.Reindex(1)
 	fmt.Println(pop.Converged())
 	// Output:
 	// true

@@ -80,15 +80,41 @@ func (ix *Index) gather(c cube.Cube, buf []*bitset.Set) []*bitset.Set {
 	return buf
 }
 
-// Count returns the number of records inside the cube. An
-// all-DontCare cube counts every record.
-func (ix *Index) Count(c cube.Cube) int {
-	var buf [8]*bitset.Set
-	sets := ix.gather(c, buf[:0])
+// gatherKey is gather for a cube given by its cube.Key: it reads only
+// the key's (dimension, range) pairs.
+func (ix *Index) gatherKey(key string, buf []*bitset.Set) []*bitset.Set {
+	for key != "" {
+		p, n := cube.DecodeKeyPair(key)
+		if n <= 0 {
+			panic(fmt.Sprintf("grid: malformed cube key %q", key))
+		}
+		buf = append(buf, ix.RangeSet(p.Dim, p.Range))
+		key = key[n:]
+	}
+	return buf
+}
+
+// count is the one counting kernel: the cardinality of the gathered
+// bitmaps' intersection, every record when there are none.
+func (ix *Index) count(sets []*bitset.Set) int {
 	if len(sets) == 0 {
 		return ix.N
 	}
 	return bitset.IntersectCountMany(sets)
+}
+
+// Count returns the number of records inside the cube. An
+// all-DontCare cube counts every record.
+func (ix *Index) Count(c cube.Cube) int {
+	var buf [8]*bitset.Set
+	return ix.count(ix.gather(c, buf[:0]))
+}
+
+// CountKey is Count for the cube whose cube.Key is key, read in O(k)
+// from the key's pairs instead of O(d) from a dense cube.
+func (ix *Index) CountKey(key string) int {
+	var buf [8]*bitset.Set
+	return ix.count(ix.gatherKey(key, buf[:0]))
 }
 
 // Cover returns the records inside the cube as a fresh bitmap.

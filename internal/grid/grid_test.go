@@ -49,6 +49,22 @@ func TestCountMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestCountKeyMatchesCount counts random cubes, the all-'*' cube
+// included, from their keys.
+func TestCountKeyMatchesCount(t *testing.T) {
+	_, ix := fixture(500, 9, 5, 3, 0.1)
+	r := xrand.New(11)
+	for trial := 0; trial < 300; trial++ {
+		c := cube.New(9)
+		for _, j := range r.Sample(9, r.Intn(5)) {
+			c[j] = uint16(r.IntRange(1, 5))
+		}
+		if got, want := ix.CountKey(c.Key()), ix.Count(c); got != want {
+			t.Fatalf("cube %v: CountKey=%d Count=%d", c, got, want)
+		}
+	}
+}
+
 func TestCountMatchesNaiveWithMissing(t *testing.T) {
 	g, ix := fixture(400, 5, 3, 2, 0.2)
 	r := xrand.New(7)
