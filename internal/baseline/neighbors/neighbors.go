@@ -16,10 +16,9 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"hido/internal/dataset"
+	"hido/internal/fanout"
 )
 
 // Metric is a distance function over equal-length vectors.
@@ -227,46 +226,18 @@ func (s *Search) RangeCount(i int, radius float64, stopAfter int) int {
 // record i abandons early when its running kth-NN upper bound cannot
 // influence callers that only need the top-n largest values; that
 // pruning lives in the knnout package — here the values are exact.
-func (s *Search) AllKDist(k int) []float64 {
-	out := make([]float64, s.ds.N())
-	for i := range out {
-		out[i] = s.KDist(i, k)
-	}
-	return out
-}
+func (s *Search) AllKDist(k int) []float64 { return s.AllKDistParallel(k, 1) }
 
 // AllKDistParallel is AllKDist computed on up to workers goroutines
 // (workers <= 0 selects GOMAXPROCS). The searcher is read-only, so
 // records partition freely across goroutines and each output slot is
 // written exactly once; the result is identical to AllKDist.
 func (s *Search) AllKDistParallel(k, workers int) []float64 {
-	n := s.ds.N()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return s.AllKDist(k)
-	}
-	out := make([]float64, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for t := 0; t < workers; t++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = s.KDist(i, k)
-			}
-		}()
-	}
-	wg.Wait()
+	out := make([]float64, s.ds.N())
+	fanout.For(len(out), workers, func(i int) { out[i] = s.KDist(i, k) })
 	return out
 }
 

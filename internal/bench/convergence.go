@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"hido/internal/core"
-	"hido/internal/evo"
+	"hido/internal/obs"
 	"hido/internal/synth"
 )
 
@@ -61,14 +61,14 @@ func RunConvergence(opt ConvergenceOptions) ([]ConvergenceRow, error) {
 	}
 	det := core.NewDetector(ds, p.Phi)
 
-	trace := func(kind core.CrossoverKind) ([]evo.Stats, error) {
-		var stats []evo.Stats
+	trace := func(kind core.CrossoverKind) ([]obs.GenerationEvent, error) {
+		var gens []obs.GenerationEvent
 		_, err := det.Evolutionary(core.EvoOptions{
 			K: p.K, M: opt.M, Seed: opt.Seed, Crossover: kind,
 			MaxGenerations: opt.Generations, Patience: -1,
-			OnGeneration: func(s evo.Stats) { stats = append(stats, s) },
+			Observer: obs.Funcs{Generation: func(e obs.GenerationEvent) { gens = append(gens, e) }},
 		})
-		return stats, err
+		return gens, err
 	}
 	optStats, err := trace(core.OptimizedCrossover)
 	if err != nil {
@@ -91,8 +91,8 @@ func RunConvergence(opt ConvergenceOptions) ([]ConvergenceRow, error) {
 			TwoPoint:       twoStats[g].BestSoFar,
 			OptimizedConv:  optStats[g].Converged,
 			TwoPointConv:   twoStats[g].Converged,
-			OptimizedEvals: optStats[g].Evaluated,
-			TwoPointEvals:  twoStats[g].Evaluated,
+			OptimizedEvals: optStats[g].Evaluations,
+			TwoPointEvals:  twoStats[g].Evaluations,
 		})
 	}
 	return rows, nil

@@ -11,6 +11,7 @@ import (
 	"hido/internal/core"
 	"hido/internal/dataset"
 	"hido/internal/discretize"
+	"hido/internal/fanout"
 	"hido/internal/obs"
 	"hido/internal/server"
 	"hido/internal/stream"
@@ -118,19 +119,12 @@ func (co *Coordinator) Peers() []string { return co.cfg.Peers }
 // listener has drained.
 func (co *Coordinator) Drain(ctx context.Context) error { return co.client.Drain(ctx) }
 
-// eachPeer runs f concurrently for every peer and returns the
-// per-peer errors (nil entries for successes).
+// eachPeer runs f concurrently for every peer, one worker each, and
+// returns the per-peer errors (nil entries for successes).
 func (co *Coordinator) eachPeer(f func(i int, peer string) error) []error {
-	errs := make([]error, len(co.cfg.Peers))
-	var wg sync.WaitGroup
-	for i, peer := range co.cfg.Peers {
-		wg.Add(1)
-		go func(i int, peer string) {
-			defer wg.Done()
-			errs[i] = f(i, peer)
-		}(i, peer)
-	}
-	wg.Wait()
+	peers := co.cfg.Peers
+	errs := make([]error, len(peers))
+	fanout.For(len(peers), len(peers), func(i int) { errs[i] = f(i, peers[i]) })
 	return errs
 }
 

@@ -244,23 +244,7 @@ func BruteForceOver(src CountSource, opt BruteForceOptions) (*Result, error) {
 		}
 	}
 
-	workers := fanout.Workers(opt.Workers)
-	if workers > len(sh.tasks) {
-		workers = len(sh.tasks)
-	}
-	if opt.Observer != nil {
-		interval := opt.ProgressInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		stop, done := make(chan struct{}), make(chan struct{})
-		go sh.heartbeat(start, interval, stop, done)
-		sh.run(workers)
-		close(stop)
-		<-done
-	} else {
-		sh.run(workers)
-	}
+	sh.runWorkers(start, min(fanout.Workers(opt.Workers), len(sh.tasks)))
 
 	// Deterministic merge: per-task best sets in prefix order, entries
 	// already sorted by fitness within each. No genome appears under
@@ -297,6 +281,28 @@ func BruteForceOver(src CountSource, opt BruteForceOptions) (*Result, error) {
 		return res, cpErr
 	}
 	return res, nil
+}
+
+// runWorkers runs the enumeration on workers fan-out workers. Every
+// worker claims tasks from sh.next with scratch of its own, so one
+// worker is the serial search: the bit-identical guarantee is
+// checkable rather than aspirational. With an observer attached,
+// heartbeats run until the workers return, or until a worker's panic
+// unwinds through here on its way to the caller.
+func (sh *bfShared) runWorkers(start time.Time, workers int) {
+	if sh.opt.Observer != nil {
+		interval := sh.opt.ProgressInterval
+		if interval <= 0 {
+			interval = time.Second
+		}
+		stop, done := make(chan struct{}), make(chan struct{})
+		go sh.heartbeat(start, interval, stop, done)
+		defer func() {
+			close(stop)
+			<-done
+		}()
+	}
+	fanout.For(workers, workers, func(int) { sh.runWorker() })
 }
 
 // runWorker claims tasks from the shared counter until they run out,

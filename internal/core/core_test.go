@@ -11,6 +11,7 @@ import (
 	"hido/internal/dataset"
 	"hido/internal/evo"
 	"hido/internal/grid"
+	"hido/internal/obs"
 	"hido/internal/xrand"
 )
 
@@ -318,10 +319,10 @@ func TestEvolutionaryTwoPointStillWorks(t *testing.T) {
 func TestEvolutionaryOnGenerationObserver(t *testing.T) {
 	ds := plantedDataset(150, 5, 12)
 	det := NewDetector(ds, 4)
-	var gens []evo.Stats
+	var gens []obs.GenerationEvent
 	_, err := det.Evolutionary(EvoOptions{
 		K: 2, M: 3, Seed: 1, MaxGenerations: 10, Patience: -1,
-		OnGeneration: func(s evo.Stats) { gens = append(gens, s) },
+		Observer: obs.Funcs{Generation: func(e obs.GenerationEvent) { gens = append(gens, e) }},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +334,7 @@ func TestEvolutionaryOnGenerationObserver(t *testing.T) {
 		if gens[i].Gen != gens[i-1].Gen+1 {
 			t.Errorf("generation numbering gap at %d", i)
 		}
-		if gens[i].Evaluated < gens[i-1].Evaluated {
+		if gens[i].Evaluations < gens[i-1].Evaluations {
 			t.Errorf("evaluation counter decreased at generation %d", i)
 		}
 	}

@@ -89,8 +89,6 @@ type EvoOptions struct {
 	Workers int
 	// Seed drives all randomness; runs are reproducible per seed.
 	Seed uint64
-	// OnGeneration, when set, observes per-generation statistics.
-	OnGeneration func(evo.Stats)
 	// Observer, when set, receives structured per-generation events and
 	// a terminal run summary (see internal/obs). A nil observer costs
 	// zero allocations on the hot path, and an attached observer never
@@ -377,7 +375,7 @@ func (s *search) evaluateAll(pop *evo.Population) {
 	// is nearly free here; notifyGeneration reads it instead of paying
 	// for a fresh comparison-sort over the members. Only observed runs
 	// need it.
-	if s.opt.OnGeneration != nil || s.opt.Observer != nil {
+	if s.opt.Observer != nil {
 		seen := make(map[string]struct{}, n)
 		for i := 0; i < n; i++ {
 			seen[string(s.memberKey(i))] = struct{}{}

@@ -20,11 +20,11 @@ import (
 // sparse projections.
 type IslandOptions struct {
 	// Evo carries the per-island parameters; Evo.PopSize is the size
-	// of EACH island. Evo.OnGeneration observes island 0; Evo.Observer
-	// receives one generation event per island per generation (run IDs
-	// "evo.i0", "evo.i1", …) plus an "evo-islands" summary. Evo.Workers
-	// is the TOTAL worker budget: islands evolve concurrently, and
-	// leftover workers fan out inside each island's evaluator. Results
+	// of EACH island. Evo.Observer receives one generation event per
+	// island per generation (run IDs "evo.i0", "evo.i1", …) plus an
+	// "evo-islands" summary. Evo.Workers is the TOTAL worker budget:
+	// islands evolve concurrently, and leftover workers fan out
+	// inside each island's evaluator. Results
 	// are identical at every worker count — each island owns an
 	// independent RNG stream seeded from the master seed, islands
 	// synchronize at a generation barrier, and migration plus best-set
@@ -77,15 +77,7 @@ func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 
 	// Worker budget: islands evolve concurrently; leftover workers fan
 	// out inside each island's evaluator.
-	w := fanout.Workers(eo.Workers)
-	outer := w
-	if outer > opt.Islands {
-		outer = opt.Islands
-	}
-	inner := w / outer
-	if inner < 1 {
-		inner = 1
-	}
+	outer, inner := fanout.Split(fanout.Workers(eo.Workers), opt.Islands)
 
 	// Each island owns an independent search state — RNG stream, best
 	// set, run-local fitness memo — seeded serially from the master
@@ -101,10 +93,6 @@ func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 		io := eo
 		io.Seed = master.Uint64()
 		io.Workers = inner
-		// Per-island generation events are emitted at the barrier below
-		// (not by the island itself); the legacy callback still observes
-		// island 0 only.
-		io.OnGeneration = nil
 		io.RunID = fmt.Sprintf("%s.i%d", runID, i)
 		searches[i] = newSearch(src, io)
 		islands[i] = evo.NewPopulation(eo.PopSize, d.D())
@@ -131,12 +119,6 @@ func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 			s.evaluateAll(pop)
 			improvedBy[i] = s.offerAll(pop)
 		})
-		if eo.OnGeneration != nil {
-			st := islands[0].Snapshot(gen)
-			st.Evaluated = sumEvals(searches)
-			st.BestSoFar = mergeBestSets(searches, eo.M).MeanFitness()
-			eo.OnGeneration(st)
-		}
 		if eo.Observer != nil {
 			// One event per island, in island order at the barrier, so
 			// delivery is deterministic.

@@ -28,41 +28,32 @@ func finiteOr0(v float64) float64 {
 }
 
 // notifyGeneration computes the per-generation snapshot and delivers
-// it to the legacy OnGeneration callback and/or the Observer. With
-// neither attached it returns before computing anything. converged is
-// the generation's De Jong fraction, which the caller already needs
-// for its termination check; the distinct count comes from
-// evaluateAll's key pass.
+// it to the Observer. Without one it returns before computing
+// anything. converged is the generation's De Jong fraction, which the
+// caller already needs for its termination check; the distinct count
+// comes from evaluateAll's key pass.
 func (s *search) notifyGeneration(pop *evo.Population, gen int, converged float64) {
-	if s.opt.OnGeneration == nil && s.opt.Observer == nil {
+	o := s.opt.Observer
+	if o == nil {
 		return
 	}
 	st := pop.FitnessStats(gen)
-	st.Converged = converged
-	st.Distinct = s.lastDistinct
-	st.Evaluated = s.evals
-	st.BestSoFar = s.bs.MeanFitness()
+	ev := obs.GenerationEvent{
+		Run:         s.opt.RunID,
+		Gen:         gen,
+		PopSize:     pop.Len(),
+		BestFit:     finiteOr0(st.BestFit),
+		MeanFit:     finiteOr0(st.MeanFit),
+		WorstFit:    finiteOr0(st.WorstFit),
+		BestSoFar:   finiteOr0(s.bs.MeanFitness()),
+		Converged:   converged,
+		Distinct:    s.lastDistinct,
+		Evaluations: s.evals,
+	}
 	if e := s.bs.Entries(); len(e) > 0 {
-		st.BestString = cube.Cube(e[0].Genome).String()
+		ev.Best = cube.Cube(e[0].Genome).String()
 	}
-	if s.opt.OnGeneration != nil {
-		s.opt.OnGeneration(st)
-	}
-	if o := s.opt.Observer; o != nil {
-		o.OnGeneration(obs.GenerationEvent{
-			Run:         s.opt.RunID,
-			Gen:         gen,
-			PopSize:     pop.Len(),
-			BestFit:     finiteOr0(st.BestFit),
-			MeanFit:     finiteOr0(st.MeanFit),
-			WorstFit:    finiteOr0(st.WorstFit),
-			BestSoFar:   finiteOr0(st.BestSoFar),
-			Best:        st.BestString,
-			Converged:   st.Converged,
-			Distinct:    st.Distinct,
-			Evaluations: s.evals,
-		})
-	}
+	o.OnGeneration(ev)
 }
 
 // notifySummary delivers the terminal run record for a finished

@@ -20,12 +20,11 @@ import (
 // Restarts execute concurrently on opt.Workers goroutines (the budget
 // is split: surplus workers fan out inside each run's evaluator).
 // Results are merged in restart order and each run owns a derived
-// seed, so the outcome is identical at every worker count. When
-// opt.OnGeneration is set, runs stay sequential so the callback never
-// executes concurrently. An opt.Observer does NOT serialize the
-// restarts — it must be concurrency-safe, and each restart labels its
-// events with a derived run ID ("evo.r0", "evo.r1", …); a final
-// aggregate summary is emitted under the parent ID. stream's fits
+// seed, so the outcome is identical at every worker count. An
+// opt.Observer does not serialize the restarts — it must be
+// concurrency-safe, and each restart labels its events with a derived
+// run ID ("evo.r0", "evo.r1", …); a final aggregate summary is
+// emitted under the parent ID. stream's fits
 // (NewMonitor, Refit, ingest refits and hidod fit jobs) pass Workers
 // −1, so their restarts run concurrently on GOMAXPROCS workers;
 // cluster.Coordinator.Fit keeps them serial, so its shared RPC memo
@@ -55,18 +54,7 @@ func EvolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*R
 		return nil, fmt.Errorf("core: checkpointing is not supported with restarts")
 	}
 	start := time.Now()
-	w := fanout.Workers(opt.Workers)
-	outer := w
-	if outer > restarts {
-		outer = restarts
-	}
-	if opt.OnGeneration != nil {
-		outer = 1
-	}
-	inner := w / outer
-	if inner < 1 {
-		inner = 1
-	}
+	outer, inner := fanout.Split(fanout.Workers(opt.Workers), restarts)
 
 	runID := opt.RunID
 	if runID == "" {

@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hido/internal/cube"
+	"hido/internal/obs"
 )
 
 func TestEvolutionaryRestartsMergesDistinct(t *testing.T) {
@@ -188,6 +191,46 @@ func TestBruteForceParallelValidation(t *testing.T) {
 	det := NewDetector(plantedDataset(50, 3, 37), 3)
 	if _, err := det.BruteForce(BruteForceOptions{K: 0, M: 5, Workers: 2}); err == nil {
 		t.Error("k=0 accepted")
+	}
+}
+
+// panickySource fails every brute-force leaf below the top level.
+type panickySource struct{ CountSource }
+
+func (s panickySource) NewPartial() Partial { return panickyPartial{s.CountSource.NewPartial()} }
+
+type panickyPartial struct{ Partial }
+
+func (panickyPartial) Extend(int, uint16) int { panic("count source failed") }
+
+// A worker's panic reaches the caller's recover, as it would inline,
+// instead of killing the process from a pool goroutine, and the
+// progress heartbeat stops with it.
+func TestBruteForceParallelPanicReachesCaller(t *testing.T) {
+	det := NewDetector(plantedDataset(100, 6, 38), 4)
+	var recovered atomic.Bool
+	var late atomic.Int64
+	observer := obs.Funcs{Progress: func(obs.ProgressEvent) {
+		if recovered.Load() {
+			late.Add(1)
+		}
+	}}
+	func() {
+		defer func() {
+			if p := recover(); p != "count source failed" {
+				t.Errorf("recovered %v, want the source's panic", p)
+			}
+			recovered.Store(true)
+		}()
+		_, _ = BruteForceOver(panickySource{det.source()}, BruteForceOptions{
+			K: 2, M: 5, Workers: 4, Observer: observer, ProgressInterval: time.Millisecond,
+		})
+		t.Error("BruteForceOver returned after its source panicked")
+	}()
+	// A heartbeat left running would tick about twenty times here.
+	time.Sleep(20 * time.Millisecond)
+	if n := late.Load(); n > 0 {
+		t.Errorf("%d progress events after the caller recovered", n)
 	}
 }
 

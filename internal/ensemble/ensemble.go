@@ -239,15 +239,7 @@ func Fit(d *core.Detector, opt Options) (*Result, error) {
 
 	bags := SampleBags(d.D(), opt.Members, opt.BagSize, opt.Seed)
 
-	w := fanout.Workers(opt.Workers)
-	outer := w
-	if outer > opt.Members {
-		outer = opt.Members
-	}
-	inner := w / outer
-	if inner < 1 {
-		inner = 1
-	}
+	outer, inner := fanout.Split(fanout.Workers(opt.Workers), opt.Members)
 
 	res := &Result{
 		Members:  make([]Member, opt.Members),

@@ -40,19 +40,6 @@ func (g Genome) Clone() Genome {
 // positions.
 func (g Genome) Key() string { return cube.Cube(g).Key() }
 
-// compare orders two equal-length genomes lexicographically.
-func (g Genome) compare(o Genome) int {
-	for i := range g {
-		if g[i] != o[i] {
-			if g[i] < o[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
 // Population is a set of genomes with cached fitness values. Lower
 // fitness is better throughout (the paper minimizes the sparsity
 // coefficient).
@@ -144,31 +131,17 @@ func (pop *Population) Best() int {
 	return best
 }
 
-// Stats summarizes one generation.
+// Stats summarizes one generation's fitness distribution.
 type Stats struct {
-	Gen        int
-	BestFit    float64 // lowest fitness in the population
-	MeanFit    float64
-	WorstFit   float64
-	Converged  float64 // fraction of genes meeting the De Jong criterion
-	Distinct   int     // distinct genomes in the population (diversity)
-	Evaluated  int     // cumulative fitness evaluations
-	BestSoFar  float64 // best fitness ever seen (from the BestSet)
-	BestString string
+	Gen      int
+	BestFit  float64 // lowest fitness in the population
+	MeanFit  float64
+	WorstFit float64
 }
 
-// Snapshot computes the population statistics for generation gen.
-func (pop *Population) Snapshot(gen int) Stats {
-	s := pop.FitnessStats(gen)
-	s.Distinct = pop.Distinct()
-	s.Converged = pop.ConvergedFraction(0.95)
-	return s
-}
-
-// FitnessStats computes only the fitness aggregates (best, mean,
-// worst) — the cheap part of Snapshot. Callers that already track
-// convergence and diversity (the core search does both as byproducts)
-// fill those fields themselves instead of recomputing them.
+// FitnessStats computes generation gen's fitness aggregates (best,
+// mean, worst). Convergence and diversity are not among them: the core
+// search tracks both as byproducts of its own passes.
 func (pop *Population) FitnessStats(gen int) Stats {
 	s := Stats{Gen: gen, BestFit: math.Inf(1), WorstFit: math.Inf(-1)}
 	sum := 0.0
@@ -185,29 +158,6 @@ func (pop *Population) FitnessStats(gen int) Stats {
 		s.MeanFit = sum / float64(pop.Len())
 	}
 	return s
-}
-
-// Distinct counts the distinct genomes by sorting member indices
-// lexicographically — exact, and far cheaper than building a string
-// key per member.
-func (pop *Population) Distinct() int {
-	if pop.Len() == 0 {
-		return 0
-	}
-	idx := make([]int, pop.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return pop.Members[idx[a]].compare(pop.Members[idx[b]]) < 0
-	})
-	n := 1
-	for i := 1; i < len(idx); i++ {
-		if pop.Members[idx[i-1]].compare(pop.Members[idx[i]]) != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Selection chooses the next generation's parents.

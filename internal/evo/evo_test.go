@@ -105,12 +105,12 @@ func TestBest(t *testing.T) {
 	}
 }
 
-func TestSnapshot(t *testing.T) {
+func TestFitnessStats(t *testing.T) {
 	pop := NewPopulation(4, 2)
 	pop.Fitness = []float64{-4, -2, 0, 2}
-	s := pop.Snapshot(7)
+	s := pop.FitnessStats(7)
 	if s.Gen != 7 || s.BestFit != -4 || s.WorstFit != 2 || s.MeanFit != -1 {
-		t.Errorf("Snapshot = %+v", s)
+		t.Errorf("FitnessStats = %+v", s)
 	}
 }
 

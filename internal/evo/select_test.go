@@ -3,6 +3,7 @@ package evo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -95,7 +96,7 @@ func samePopulation(a, b *Population) error {
 		return fmt.Errorf("%d members, reference %d", a.Len(), b.Len())
 	}
 	for i := range a.Members {
-		if a.Members[i].compare(b.Members[i]) != 0 {
+		if !slices.Equal(a.Members[i], b.Members[i]) {
 			return fmt.Errorf("member %d = %v, reference %v", i, a.Members[i], b.Members[i])
 		}
 		if math.Float64bits(a.Fitness[i]) != math.Float64bits(b.Fitness[i]) {

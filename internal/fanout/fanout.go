@@ -1,9 +1,11 @@
 // Package fanout runs independent work items on a bounded set of
-// goroutines and returns once all of them are done. It is the one
-// worker-pool helper of the fit path: the searches fan restarts,
-// islands, ensemble members, pairs and count batches out with For, and
-// grid construction splits columns, rows and dimensions into
-// contiguous Blocks.
+// goroutines and returns once all of them are done. It is the
+// program's one worker pool. The fit path fans restarts, islands,
+// ensemble members, pairs, count batches and brute-force subtrees out
+// with For, and grid construction splits columns, rows and dimensions
+// into contiguous Blocks. The serving path scores a batch's row chunks,
+// the kNN baseline its records, and the cluster coordinator its
+// per-peer RPCs through For too.
 //
 // Neither helper orders the calls, so callers keep determinism by
 // making every item independent and writing disjoint outputs.
@@ -27,16 +29,66 @@ func Workers(w int) int {
 	return w
 }
 
+// Split divides a budget of w workers between n concurrent items:
+// outer items run at once, and each gets inner workers of its own for
+// the work inside it.
+func Split(w, n int) (outer, inner int) {
+	outer = max(min(w, n), 1)
+	return outer, max(w/outer, 1)
+}
+
+// state is what the workers of one For call share. It is pooled with
+// its worker function bound once, because a closure or method value
+// built per call, or per goroutine, would cost an allocation each.
+type state struct {
+	n     int
+	fn    func(i int)
+	next  atomic.Int64
+	wg    sync.WaitGroup
+	fault atomic.Pointer[any]
+	work  func()
+}
+
+var states = sync.Pool{New: func() any {
+	st := &state{}
+	st.work = st.run
+	return st
+}}
+
+// run claims indices until they run out. A panic stops the hand-out
+// and is kept, the first one only, for For to raise.
+func (st *state) run() {
+	defer st.wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			// Boxed here, not by taking the address of p, so a worker
+			// that does not panic allocates nothing.
+			box := p
+			st.fault.CompareAndSwap(nil, &box)
+			st.next.Store(int64(st.n))
+		}
+	}()
+	for {
+		i := int(st.next.Add(1)) - 1
+		if i >= st.n {
+			return
+		}
+		st.fn(i)
+	}
+}
+
 // For runs fn(i) for every i in [0, n) on up to workers goroutines,
 // returning after all calls complete. With one worker (or one item) it
 // runs inline on the calling goroutine. Work is handed out through an
 // atomic counter, so callers must make fn independent across indices;
-// determinism is then inherited from fn itself.
+// determinism is then inherited from fn itself. The shared state is
+// recycled across calls, so a call allocates nothing in steady state
+// beyond what fn's closure costs.
 //
 // A panic in fn stops the hand-out of further indices and is raised
 // again on the calling goroutine once the calls already started have
 // returned, as it would be inline, so a caller that recovers around a
-// fit (an ingest refit, a hidod fit job) still catches it.
+// fit or a request still catches it.
 func For(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -47,35 +99,19 @@ func For(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	// One struct, so the state the workers share is one allocation.
-	var st struct {
-		next  atomic.Int64
-		wg    sync.WaitGroup
-		once  sync.Once
-		fault any
-	}
+	st := states.Get().(*state)
+	st.n, st.fn = n, fn
+	st.next.Store(0)
 	st.wg.Add(workers)
 	for t := 0; t < workers; t++ {
-		go func() {
-			defer st.wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					st.once.Do(func() { st.fault = p })
-					st.next.Store(int64(n))
-				}
-			}()
-			for {
-				i := int(st.next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
+		go st.work()
 	}
 	st.wg.Wait()
-	if st.fault != nil {
-		panic(st.fault)
+	st.fn = nil
+	fault := st.fault.Swap(nil)
+	states.Put(st)
+	if fault != nil {
+		panic(*fault)
 	}
 }
 

@@ -211,9 +211,23 @@ func TestScoreSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts are unreliable under -race")
 	}
-	quiet := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
-	s := newTestServer(t, Config{Logger: quiet})
-	body := batchwire.Encode(diffWindow(t, 1, 9))
+	allocs := steadyScoreAllocs(t, Config{}, diffWindow(t, 1, 9), 200)
+	const budget = 24
+	if allocs > budget {
+		t.Fatalf("score request allocates %v per op, budget %d", allocs, budget)
+	}
+	t.Logf("steady-state allocs per scored batch-1 request: %v", allocs)
+}
+
+// steadyScoreAllocs serves one binary score request for batch through
+// the full middleware and handler stack of a server built from cfg,
+// warms the pools, and returns the mean allocations over runs
+// requests.
+func steadyScoreAllocs(t *testing.T, cfg Config, batch *dataset.Dataset, runs int) float64 {
+	t.Helper()
+	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	s := newTestServer(t, cfg)
+	body := batchwire.Encode(batch)
 
 	req := httptest.NewRequest("POST", "/api/v1/score", nil)
 	req.Header.Set("Content-Type", batchwire.ContentType)
@@ -227,13 +241,39 @@ func TestScoreSteadyStateAllocs(t *testing.T) {
 		req.Body = rb
 		h.ServeHTTP(w, req)
 	}
-	for i := 0; i < 50; i++ { // warm the pools
+	for i := 0; i < runs/4; i++ { // warm the pools
 		run()
 	}
-	allocs := testing.AllocsPerRun(200, run)
-	const budget = 24
-	if allocs > budget {
-		t.Fatalf("score request allocates %v per op, budget %d", allocs, budget)
+	return testing.AllocsPerRun(runs, run)
+}
+
+// A batch large enough to fan out costs what a one-record batch costs,
+// whatever the score worker count: the fan-out allocates nothing per
+// request. ScoreWorkers stands in for the GOMAXPROCS that server.New
+// reads on hosts of 1 to 8 cores. The rows carry no labels, whose
+// strings would cost an allocation each.
+func TestScoreFanOutAllocsIndependentOfWorkers(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts are unreliable under -race")
 	}
-	t.Logf("steady-state allocs per scored batch-1 request: %v", allocs)
+	unlabeled := func(n int) *dataset.Dataset {
+		src := diffWindow(t, n, 9)
+		ds := dataset.New(src.Names, n)
+		for i := 0; i < n; i++ {
+			ds.AppendRow(src.RowView(i), "")
+		}
+		return ds
+	}
+	batch1 := steadyScoreAllocs(t, Config{ScoreWorkers: 1}, unlabeled(1), 200)
+	big := unlabeled(10000)
+	base := steadyScoreAllocs(t, Config{ScoreWorkers: 1}, big, 40)
+	if base > batch1 {
+		t.Errorf("batch-10000 request allocates %v per op, batch-1 %v", base, batch1)
+	}
+	for _, w := range []int{2, 4, 8} {
+		if got := steadyScoreAllocs(t, Config{ScoreWorkers: w}, big, 40); got != base {
+			t.Errorf("ScoreWorkers=%d: batch-10000 request allocates %v per op, %v at one worker", w, got, base)
+		}
+	}
+	t.Logf("steady-state allocs per request: batch-1 %v, batch-10000 %v", batch1, base)
 }

@@ -96,6 +96,46 @@ func doJSON(t testing.TB, h http.Handler, method, url, contentType string, body 
 	return rec
 }
 
+// A top-n request against a model narrower than the reference window
+// fails the request, not the process: the width check runs before the
+// scoring fan-out starts its workers, and the server keeps serving.
+func TestTopNModelNarrowerThanWindow(t *testing.T) {
+	s := newTestServer(t, Config{
+		ScoreWorkers: 4,
+		TopNer:       NewDatasetTopN(refWindow(t, 1000, 41), 4),
+	})
+	h := s.Handler()
+	narrow, err := synth.Generate(synth.Config{
+		Name: "narrow", N: 300, D: 5,
+		Groups: []synth.Group{{Dims: []int{0, 1, 2}, Noise: 0.03}},
+	}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := stream.NewMonitor(narrow, stream.Options{Phi: 5, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model bytes.Buffer
+	if err := mon.Save(&model); err != nil {
+		t.Fatal(err)
+	}
+	if rec := doJSON(t, h, "PUT", "/api/v1/models/narrow", "application/json", &model, nil); rec.Code != http.StatusOK {
+		t.Fatalf("put: %d %s", rec.Code, rec.Body.String())
+	}
+	rec := doJSON(t, h, "GET", "/api/v1/topn?model=narrow", "", nil, nil)
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "top-n failed") {
+		t.Fatalf("topn against a 5-dim model over an 8-dim window: %d %s", rec.Code, rec.Body.String())
+	}
+	var resp scoreResponse
+	if rec := doJSON(t, h, "POST", "/api/v1/score?label=8", "text/csv", csvBody(t, scoreWindow(t, 40, 44)), &resp); rec.Code != http.StatusOK {
+		t.Fatalf("score after the failed topn: %d %s", rec.Code, rec.Body.String())
+	}
+	if resp.Records != 40 {
+		t.Errorf("score after the failed topn: %d records, want 40", resp.Records)
+	}
+}
+
 func TestScoreCSV(t *testing.T) {
 	s := newTestServer(t, Config{})
 	batch := scoreWindow(t, 40, 50)

@@ -27,6 +27,7 @@ import (
 	"hido/internal/dataset"
 	"hido/internal/discretize"
 	"hido/internal/ensemble"
+	"hido/internal/fanout"
 	"hido/internal/obs"
 )
 
@@ -352,24 +353,30 @@ func (m *Monitor) Score(record []float64) Alert {
 
 // ScoreBatch scores every row of a dataset, returning one alert per
 // record. The whole batch is scored against one consistent model
-// snapshot even if a concurrent Refit lands mid-batch.
+// snapshot even if a concurrent Refit lands mid-batch. Like Score, it
+// panics when the rows do not have the model's dimensionality.
 func (m *Monitor) ScoreBatch(ds *dataset.Dataset) []Alert {
-	out, _ := m.ScoreBatchContext(context.Background(), ds, 1)
+	out, err := m.ScoreBatchContext(context.Background(), ds, 1)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
-// scoreChunk is how many rows a batch worker scores between context
-// checks (and per claim from the shared cursor).
+// scoreChunk is how many rows a batch worker claims at once: each
+// chunk checks the context once and scores on one pooled scorer.
 const scoreChunk = 256
 
 // ScoreBatchContext scores every row of a dataset against one
 // consistent model snapshot, fanning the rows across up to `workers`
 // goroutines (workers <= 1, or a single-chunk batch, scores inline;
-// workers == 0 means GOMAXPROCS). It returns ctx.Err if the context is
-// cancelled before the batch completes; the partial alerts are
-// discarded. This is the serving path of cmd/hidod: request handlers
-// pass their per-request context so timeouts and client disconnects
-// abandon the batch instead of burning the worker pool.
+// workers == 0 means GOMAXPROCS). It returns an error, before scoring
+// anything, if the rows do not have the model's dimensionality, and
+// ctx.Err if the context is cancelled before the batch completes; the
+// partial alerts are discarded. This is the serving path of cmd/hidod:
+// request handlers pass their per-request context so timeouts and
+// client disconnects abandon the batch instead of burning the worker
+// pool.
 func (m *Monitor) ScoreBatchContext(ctx context.Context, ds *dataset.Dataset, workers int) ([]Alert, error) {
 	return m.ScoreBatchBuf(ctx, ds, workers, nil)
 }
@@ -381,6 +388,9 @@ func (m *Monitor) ScoreBatchContext(ctx context.Context, ds *dataset.Dataset, wo
 // returned slice; results are identical to ScoreBatchContext.
 func (m *Monitor) ScoreBatchBuf(ctx context.Context, ds *dataset.Dataset, workers int, buf []Alert) ([]Alert, error) {
 	v := m.snapshot()
+	if ds.D() != v.grid.D {
+		return nil, fmt.Errorf("stream: batch has %d dims, model has %d", ds.D(), v.grid.D)
+	}
 	n := ds.N()
 	var out []Alert
 	if cap(buf) >= n {
@@ -394,44 +404,17 @@ func (m *Monitor) ScoreBatchBuf(ctx context.Context, ds *dataset.Dataset, worker
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if chunks := (n + scoreChunk - 1) / scoreChunk; workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
+	fanout.For((n+scoreChunk-1)/scoreChunk, workers, func(c int) {
+		if ctx.Err() != nil {
+			return
+		}
 		sc := m.scorer(v)
-		defer m.recycle(sc)
-		for i := 0; i < n; i++ {
-			if i%scoreChunk == 0 && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
+		lo, hi := c*scoreChunk, min((c+1)*scoreChunk, n)
+		for i := lo; i < hi; i++ {
 			out[i] = sc.ScoreInto(ds.RowView(i), out[i].Matches)
 		}
-		return out, nil
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := m.scorer(v)
-			defer m.recycle(sc)
-			for {
-				lo := int(cursor.Add(scoreChunk)) - scoreChunk
-				if lo >= n || ctx.Err() != nil {
-					return
-				}
-				hi := lo + scoreChunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					out[i] = sc.ScoreInto(ds.RowView(i), out[i].Matches)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+		m.recycle(sc)
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
