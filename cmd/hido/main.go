@@ -400,6 +400,7 @@ func runEnsemble(cfg config, ds *dataset.Dataset, det *core.Detector, k int, obs
 		res.Evaluations, res.Elapsed.Round(time.Millisecond))
 
 	ranked := res.Ranked()
+	cells := make([]uint16, det.D())
 	fmt.Printf("\ntop records by combined score:\n")
 	for rank, i := range ranked {
 		if rank == cfg.top {
@@ -418,12 +419,12 @@ func runEnsemble(cfg config, ds *dataset.Dataset, det *core.Detector, k int, obs
 		fmt.Printf("  %2d. record %5d  score=%.3f  members=%d/%d%s\n",
 			rank+1, i, res.Combined[i], votes, len(res.Members), label)
 		if cfg.explain {
+			det.Grid.AssignRowInto(det.Data.RowView(i), cells)
 			for r, mem := range res.Members {
 				if res.Evidence[r][i] == 0 {
 					continue
 				}
 				best := -1
-				cells := det.Grid.CellsRow(i)
 				for pi, p := range mem.Projections {
 					if p.Cube.Covers(cells) && (best < 0 || p.Sparsity < mem.Projections[best].Sparsity) {
 						best = pi

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"hido/internal/dataset"
 )
@@ -42,6 +43,9 @@ const (
 	maxDims = 4096
 	// maxLabel bounds any single label string.
 	maxLabel = 1 << 20
+	// internCap bounds the distinct labels one batch shares strings
+	// for: labels are usually a few class names repeated on every row.
+	internCap = 8
 )
 
 // Append appends the wire form of ds to dst and returns the extended
@@ -87,7 +91,8 @@ func Encode(ds *dataset.Dataset) []byte {
 // batch's attribute count — the decoder rejects a mismatched batch
 // before touching the values. Column names are the positional
 // c0 … c{D-1}; in steady state with a reused dst, decoding an
-// unlabeled batch allocates nothing.
+// unlabeled batch allocates nothing, and a labeled one allocates once
+// per distinct label (up to internCap of them, then once per row).
 func Decode(dst *dataset.Dataset, b []byte, wantD int) (*dataset.Dataset, error) {
 	if len(b) < headerLen {
 		return nil, fmt.Errorf("batchwire: batch truncated (%d bytes, want at least %d)", len(b), headerLen)
@@ -119,9 +124,11 @@ func Decode(dst *dataset.Dataset, b []byte, wantD int) (*dataset.Dataset, error)
 		return nil, fmt.Errorf("batchwire: %d trailing bytes after values", int64(len(body))-need)
 	}
 
+	var labels []string
 	if dst == nil {
 		dst = dataset.New(dataset.GenericNames(d), n)
 	} else {
+		labels = dst.Labels[:0]
 		dst.Reset(dataset.GenericNames(d))
 	}
 	vals := dst.AppendRows(n)
@@ -134,7 +141,8 @@ func Decode(dst *dataset.Dataset, b []byte, wantD int) (*dataset.Dataset, error)
 
 	if flags&flagLabels != 0 {
 		rest := body[need:]
-		labels := make([]string, n)
+		labels = slices.Grow(labels, n)[:n]
+		var interned interner
 		for i := range labels {
 			if len(rest) < 4 {
 				return nil, fmt.Errorf("batchwire: labels truncated at record %d", i)
@@ -147,7 +155,7 @@ func Decode(dst *dataset.Dataset, b []byte, wantD int) (*dataset.Dataset, error)
 			if l > len(rest) {
 				return nil, fmt.Errorf("batchwire: label of %d bytes exceeds payload (%d left)", l, len(rest))
 			}
-			labels[i] = string(rest[:l])
+			labels[i] = interned.get(rest[:l])
 			rest = rest[l:]
 		}
 		if len(rest) != 0 {
@@ -156,4 +164,26 @@ func Decode(dst *dataset.Dataset, b []byte, wantD int) (*dataset.Dataset, error)
 		dst.Labels = labels
 	}
 	return dst, nil
+}
+
+// interner shares one string among a batch's repeats of a label, for
+// up to internCap distinct labels; past that each new label is its
+// own string. Its table is fixed-size and lives for one batch.
+type interner struct {
+	n    int
+	strs [internCap]string
+}
+
+func (t *interner) get(b []byte) string {
+	for _, s := range t.strs[:t.n] {
+		if s == string(b) {
+			return s
+		}
+	}
+	s := string(b)
+	if t.n < len(t.strs) {
+		t.strs[t.n] = s
+		t.n++
+	}
+	return s
 }

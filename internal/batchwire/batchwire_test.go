@@ -110,6 +110,60 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// labeledBatch is an n-row batch whose labels cycle through names.
+func labeledBatch(n int, names ...string) *dataset.Dataset {
+	ds := dataset.New([]string{"a"}, n)
+	for i := 0; i < n; i++ {
+		ds.AppendRow([]float64{float64(i)}, names[i%len(names)])
+	}
+	return ds
+}
+
+// A labeled batch decoded into a reused dataset reuses its label slice
+// and shares one string per distinct label, and every label still
+// round-trips byte for byte: repeated ones, more distinct ones than the
+// intern table holds, empty and non-UTF-8 ones, and a second batch
+// whose labels differ from the first's.
+func TestDecodeLabelsInterned(t *testing.T) {
+	many := make([]string, 3*internCap)
+	for i := range many {
+		many[i] = strings.Repeat("l", i) + "\xff\x00"
+	}
+	var dst *dataset.Dataset
+	for _, ds := range []*dataset.Dataset{
+		labeledBatch(100, "normal", "outlier", "", "normal"),
+		labeledBatch(200, many...),
+		labeledBatch(50, "outlier", "\xfe"),
+	} {
+		b := Encode(ds)
+		var err error
+		if dst, err = Decode(dst, b, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ds.N(); i++ {
+			if dst.Label(i) != ds.Label(i) {
+				t.Fatalf("label %d = %q, want %q", i, dst.Label(i), ds.Label(i))
+			}
+		}
+		if !bytes.Equal(Encode(dst), b) {
+			t.Fatal("re-encode of a labeled batch is not byte-identical")
+		}
+	}
+	if testutil.RaceEnabled {
+		return
+	}
+	b := Encode(labeledBatch(1000, "normal", "outlier"))
+	allocs := testing.AllocsPerRun(50, func() {
+		var err error
+		if dst, err = Decode(dst, b, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("steady-state decode of a 1000-row batch with 2 distinct labels allocates %v per run, want at most 2", allocs)
+	}
+}
+
 func TestDecodeRejectsHostileFrames(t *testing.T) {
 	valid := Encode(sample(true))
 	corrupt := func(mut func(b []byte) []byte) []byte {

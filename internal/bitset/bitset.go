@@ -36,6 +36,22 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// NewMany returns count empty sets with capacity for bits 0..n-1 each,
+// all backed by one array, so a family of same-sized bitmaps costs two
+// allocations instead of two per set.
+func NewMany(n, count int) []Set {
+	if n < 0 || count < 0 {
+		panic("bitset: negative capacity")
+	}
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, w*count)
+	sets := make([]Set, count)
+	for k := range sets {
+		sets[k] = Set{words: words[k*w : (k+1)*w : (k+1)*w], n: n}
+	}
+	return sets
+}
+
 // FromIndices returns a set of capacity n with the given bits set.
 // Indices out of range cause a panic.
 func FromIndices(n int, idx []int) *Set {
@@ -55,6 +71,18 @@ func (s *Set) Set(i int) {
 		panic(fmt.Sprintf("bitset: Set(%d) out of range [0,%d)", i, s.n))
 	}
 	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
+}
+
+// SetWord stores w as bits 64·i .. 64·i+63, the word-at-a-time form of
+// Set for callers that assemble a whole word first. Bits at or past
+// the capacity are dropped. It panics if word i is out of range.
+func (s *Set) SetWord(i int, w uint64) {
+	if i == len(s.words)-1 {
+		if rem := s.n % wordBits; rem != 0 {
+			w &= 1<<uint(rem) - 1
+		}
+	}
+	s.words[i] = w
 }
 
 // Clear clears bit i. It panics if i is out of range.

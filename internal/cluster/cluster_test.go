@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -403,6 +405,51 @@ func TestClusterAPIEndToEnd(t *testing.T) {
 	defer cancel()
 	if err := co.Drain(ctx); err != nil {
 		t.Errorf("drain: %v", err)
+	}
+}
+
+// TestStorageRejectsBadCuts pushes grids whose cuts a model file could
+// not hold — descending, NaN, ±Inf — and expects each to answer 400
+// and store nothing, where a descending push used to panic under the
+// handler and a NaN or infinite one was built and counted over. A
+// valid push and count on the same shard then succeed.
+func TestStorageRejectsBadCuts(t *testing.T) {
+	ds := testData(t, 60)
+	st := NewStorage(ds, nil)
+	srv := httptest.NewServer(st.Handler())
+	defer srv.Close()
+	client := NewClient(ClientConfig{Timeout: 5 * time.Second, Retries: -1})
+	ctx := context.Background()
+
+	good := discretize.Fit(ds, 4, discretize.EquiDepth).AllCuts()
+	count := func(id string) error {
+		req := countReq{GridID: id, D: ds.D(), Cubes: []cube.Cube{cube.New(ds.D()).With(0, 1)}}
+		_, err := client.Call(ctx, srv.URL, "count", req.encode(), msgCountResp)
+		return err
+	}
+	for name, bad := range map[string]float64{
+		"descending": -1e300, "NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1),
+	} {
+		cuts := discretize.Fit(ds, 4, discretize.EquiDepth).AllCuts()
+		cuts[2][1] = bad
+		id := "g-bad-" + name
+		req := gridReq{GridID: id, DataFP: st.Fingerprint(), Phi: 4, Cuts: cuts}
+		_, err := client.Call(ctx, srv.URL, "grid", req.encode(), msgGridAck)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Errorf("%s cut: push answered %v, want 400", name, err)
+		}
+		if err := count(id); !IsGridMiss(err) {
+			t.Errorf("%s cut: count on the rejected grid answered %v, want grid miss", name, err)
+		}
+	}
+
+	req := gridReq{GridID: "g-good", DataFP: st.Fingerprint(), Phi: 4, Cuts: good}
+	if _, err := client.Call(ctx, srv.URL, "grid", req.encode(), msgGridAck); err != nil {
+		t.Fatalf("valid push: %v", err)
+	}
+	if err := count("g-good"); err != nil {
+		t.Fatalf("count after a valid push: %v", err)
 	}
 }
 

@@ -352,6 +352,14 @@ func (m *gridReq) decode(p []byte) error {
 			c := make([]float64, m.Phi-1)
 			for i := range c {
 				c[i] = d.f64()
+				// A model file's rule: every cut finite, the cuts
+				// non-decreasing. discretize.FromCuts panics on the
+				// rest.
+				if math.IsNaN(c[i]) || math.IsInf(c[i], 0) {
+					d.bad("dimension %d cut %d is %v", j, i, c[i])
+				} else if i > 0 && c[i] < c[i-1] {
+					d.bad("dimension %d cuts not non-decreasing at %d (%v < %v)", j, i, c[i], c[i-1])
+				}
 			}
 			m.Cuts[j] = c
 		}

@@ -57,13 +57,20 @@ func TestProtoRoundTrip(t *testing.T) {
 		}
 	}
 
+	negZero := math.Copysign(0, -1)
 	grid := &gridReq{GridID: "g-1", DataFP: "d-2", Phi: 5,
-		Cuts: [][]float64{{0.1, 0.2, 0.3, 0.4}, {1, 2, 3, nan}}}
+		Cuts: [][]float64{{0.1, 0.2, 0.3, 0.4}, {-math.MaxFloat64, negZero, 3, math.MaxFloat64}}}
 	gotGrid := &gridReq{}
 	check("grid", grid, gotGrid)
 	if gotGrid.GridID != "g-1" || gotGrid.DataFP != "d-2" || gotGrid.Phi != 5 ||
-		len(gotGrid.Cuts) != 2 || math.Float64bits(gotGrid.Cuts[1][3]) != math.Float64bits(nan) {
+		len(gotGrid.Cuts) != 2 || math.Float64bits(gotGrid.Cuts[1][1]) != math.Float64bits(negZero) ||
+		gotGrid.Cuts[1][3] != math.MaxFloat64 {
 		t.Errorf("grid: got %+v", gotGrid)
+	}
+	// Cuts a model file could not hold do not survive the wire.
+	grid.Cuts[1][3] = nan
+	if _, payload, err := decodeFrame(grid.encode()); err != nil || gotGrid.decode(payload) == nil {
+		t.Errorf("grid with a NaN cut decoded (frame error %v)", err)
 	}
 
 	cnt := &countReq{GridID: "g-1", D: 6, Cubes: []cube.Cube{c1, c2}}
@@ -290,6 +297,9 @@ func FuzzClusterDecode(f *testing.F) {
 		(&infoResp{N: 9, Names: []string{"x", "y"}, Fingerprint: "d-1"}).encode(),
 		(&rowsResp{N: 1, D: 2, Values: []float64{nan, 0.5}}).encode(),
 		(&gridReq{GridID: "g", DataFP: "d", Phi: 4, Cuts: [][]float64{{1, 2, 3}}}).encode(),
+		(&gridReq{GridID: "g", DataFP: "d", Phi: 4, Cuts: [][]float64{{1, 3, 2}}}).encode(),
+		(&gridReq{GridID: "g", DataFP: "d", Phi: 4, Cuts: [][]float64{{1, nan, 3}}}).encode(),
+		(&gridReq{GridID: "g", DataFP: "d", Phi: 4, Cuts: [][]float64{{math.Inf(-1), 2, math.Inf(1)}}}).encode(),
 		(&countReq{GridID: "g", D: 4, Cubes: []cube.Cube{c}}).encode(),
 		(&countResp{Counts: []int{3}}).encode(),
 		(&coverReq{GridID: "g", D: 4, Cubes: []cube.Cube{c}}).encode(),

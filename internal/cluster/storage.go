@@ -299,11 +299,11 @@ func (st *Storage) rpcGrid(payload []byte) ([]byte, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.grids[req.GridID]; !ok {
-		// Discretize this shard's rows under the coordinator's global
-		// cuts: cell assignment depends only on (cuts, value), so the
-		// shards' assignments concatenate to exactly what a single-node
-		// fit over all rows would produce — the invariant the whole
-		// distributed search rests on.
+		// Index this shard's rows under the coordinator's global cuts:
+		// a record's range depends only on (cuts, value), so the shards'
+		// bitmaps concatenate to exactly what a single-node fit over all
+		// rows would build — the invariant the whole distributed search
+		// rests on.
 		g := discretize.Apply(st.ds, req.Phi, req.Cuts)
 		st.grids[req.GridID] = grid.Build(g)
 		st.gridPhi[req.GridID] = req.Phi

@@ -194,7 +194,7 @@ func (e Explanation) Describe(d *Detector) string {
 // locally minimal (dropping any remaining constraint would exceed the
 // threshold). Projections above the threshold are skipped.
 func (r *Result) MinimalExplanations(d *Detector, i int, threshold float64) []Explanation {
-	cells := d.Grid.CellsRow(i)
+	cells := d.Grid.AssignRow(d.Data.RowView(i))
 	seen := map[string]bool{}
 	var out []Explanation
 	for _, p := range r.Projections {

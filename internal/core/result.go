@@ -110,7 +110,7 @@ func (r *Result) Quality() float64 {
 // CoveringProjections returns the indices (into r.Projections) of the
 // projections covering record i — the per-point explanation.
 func (r *Result) CoveringProjections(d *Detector, i int) []int {
-	cells := d.Grid.CellsRow(i)
+	cells := d.Grid.AssignRow(d.Data.RowView(i))
 	var out []int
 	for pi, p := range r.Projections {
 		if p.Cube.Covers(cells) {
@@ -126,13 +126,37 @@ func (r *Result) CoveringProjections(d *Detector, i int) []int {
 // against top-n baselines.
 func (r *Result) Score(d *Detector, i int) float64 {
 	best := 0.0
-	cells := d.Grid.CellsRow(i)
+	cells := d.Grid.AssignRow(d.Data.RowView(i))
 	for _, p := range r.Projections {
 		if p.Sparsity < best && p.Cube.Covers(cells) {
 			best = p.Sparsity
 		}
 	}
 	return best
+}
+
+// Scores is Result.Score for every record at once under the given
+// projections: each record's most negative sparsity among the
+// projections covering it, 0 when none does. It reads each
+// projection's cover from the index instead of testing every record
+// against every projection, and keeps Score's comparison, so every
+// value is bit-identical to Score's and a NaN sparsity is skipped.
+func (d *Detector) Scores(projs []Projection) []float64 {
+	out := make([]float64, d.N())
+	cover := bitset.New(d.N())
+	for _, p := range projs {
+		if !(p.Sparsity < 0) {
+			continue // lowers no score below its start of 0
+		}
+		d.Index.CoverInto(cover, p.Cube)
+		cover.ForEach(func(i int) bool {
+			if p.Sparsity < out[i] {
+				out[i] = p.Sparsity
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // RankedOutliers returns the covered records ordered by ascending
@@ -142,9 +166,10 @@ func (r *Result) RankedOutliers(d *Detector) []int {
 		idx   int
 		score float64
 	}
+	scores := d.Scores(r.Projections)
 	ss := make([]scored, 0, len(r.Outliers))
 	for _, i := range r.Outliers {
-		ss = append(ss, scored{i, r.Score(d, i)})
+		ss = append(ss, scored{i, scores[i]})
 	}
 	sort.Slice(ss, func(a, b int) bool {
 		if ss[a].score != ss[b].score {

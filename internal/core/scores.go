@@ -53,11 +53,11 @@ const tailWidth = 8
 // records, comparable against the kNN-distance and LOF baselines'
 // score vectors (see the detection-quality experiment).
 //
-// Each subspace costs one pass over the records: cell occupancies are
-// counted with a hash key packing the k cell indices, then each
-// record receives the sparsity coefficient of its own cell. Records
-// missing any sampled attribute skip that subspace; a record missing
-// everything keeps NaN scores.
+// Each subspace costs one pass over its k dimensions' range bitmaps and
+// one over the records: cell occupancies are counted with a hash key
+// packing the k cell indices, then each record receives the sparsity
+// coefficient of its own cell. Records missing any sampled attribute
+// skip that subspace; a record missing everything keeps NaN scores.
 func (d *Detector) SampleScores(opt SampledScoreOptions) (*SampledScores, error) {
 	if err := d.validateKM(opt.K, 1); err != nil {
 		return nil, err
@@ -97,24 +97,31 @@ func (d *Detector) SampleScores(opt SampledScoreOptions) (*SampledScores, error)
 	for s := 0; s < opt.Samples; s++ {
 		dims := rng.Sample(d.D(), opt.K)
 		clear(counts)
-		for i := 0; i < n; i++ {
-			cells := d.Grid.CellsRow(i)
-			key := uint64(0)
-			ok := true
-			for _, j := range dims {
-				c := cells[j]
-				if c == 0 {
-					ok = false
+		// Record i's key packs its ranges in the sampled dimensions,
+		// the first one highest, read from those dimensions' range
+		// bitmaps. A missing value is in no bitmap and leaves its field
+		// zero; ranges start at 1.
+		clear(keys)
+		for p, j := range dims {
+			shift := 16 * uint(len(dims)-1-p)
+			for r := 1; r <= d.Phi(); r++ {
+				d.Index.RangeSet(j, uint16(r)).ForEach(func(i int) bool {
+					keys[i] |= uint64(r) << shift
+					return true
+				})
+			}
+		}
+		for i, key := range keys {
+			for p := range dims {
+				if key>>(16*uint(p))&0xffff == 0 {
+					key = missingKey
 					break
 				}
-				key = key<<16 | uint64(c)
-			}
-			if !ok {
-				keys[i] = missingKey
-				continue
 			}
 			keys[i] = key
-			counts[key]++
+			if key != missingKey {
+				counts[key]++
+			}
 		}
 		for i := 0; i < n; i++ {
 			if keys[i] == missingKey {

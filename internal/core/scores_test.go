@@ -148,3 +148,53 @@ func TestTailPushKeepsLowest(t *testing.T) {
 		t.Errorf("tail sum = %v, want 6 (kept %v)", sum, heap[:n])
 	}
 }
+
+// refScores is the per-record Score loop Detector.Scores replaced: each
+// record's cells assigned from its values, tested against every
+// projection in order.
+func refScores(d *Detector, projs []Projection) []float64 {
+	out := make([]float64, d.N())
+	for i := range out {
+		best := 0.0
+		cells := d.Grid.CellsRow(i)
+		for _, p := range projs {
+			if p.Sparsity < best && p.Cube.Covers(cells) {
+				best = p.Sparsity
+			}
+		}
+		out[i] = best
+	}
+	return out
+}
+
+// Scores reads covers from the index and must equal the per-record
+// Score loop bit for bit: on mined projections over data with missing
+// values, and on projections whose sparsity is NaN, zero, negative
+// zero or positive, which Score's comparison skips.
+func TestScoresMatchScoreLoop(t *testing.T) {
+	ds := plantedDataset(600, 7, 52)
+	for i := 0; i < ds.N(); i += 9 {
+		ds.SetAt(i, i%7, math.NaN())
+	}
+	det := NewDetector(ds, 5)
+	res, err := det.Evolutionary(EvoOptions{K: 2, M: 12, Seed: 3, MinCoverage: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	projs := append([]Projection(nil), res.Projections...)
+	for _, s := range []float64{math.NaN(), 0, math.Copysign(0, -1), 1.5} {
+		projs = append(projs, Projection{Cube: projs[0].Cube, Sparsity: s})
+	}
+	projs = append(projs, Projection{Cube: projs[1].Cube, Sparsity: projs[1].Sparsity})
+	want := refScores(det, projs)
+	got := det.Scores(projs)
+	mined := det.Scores(res.Projections)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("record %d: Scores %v, Score loop %v", i, got[i], want[i])
+		}
+		if s := res.Score(det, i); math.Float64bits(s) != math.Float64bits(mined[i]) {
+			t.Fatalf("record %d: Result.Score %v, Scores %v", i, s, mined[i])
+		}
+	}
+}

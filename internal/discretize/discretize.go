@@ -5,11 +5,13 @@
 // data's density. Equi-width ranges are provided for the ablation
 // study.
 //
-// The output is a per-record cell assignment: for record i and
+// A fitted grid is its cut points plus the records it was fitted or
+// applied to; no per-record assignment is stored. For record i and
 // dimension j, Cell(i, j) is the 1-based range containing the value,
 // or 0 when the attribute is missing — missing attributes simply never
 // match a constrained cube position, which is what lets the method
-// mine data with missing values (§1.2).
+// mine data with missing values (§1.2). The bitmap index (package
+// grid) is built straight from the records and the cuts.
 package discretize
 
 import (
@@ -44,8 +46,8 @@ func (m Method) String() string {
 	}
 }
 
-// Grid is a fitted discretization: per-dimension cut points plus the
-// per-record cell assignments.
+// Grid is a fitted discretization: per-dimension cut points, bound to
+// the N records they were fitted or applied to.
 type Grid struct {
 	Phi    int
 	N, D   int
@@ -54,15 +56,17 @@ type Grid struct {
 	// falls in range r (1-based) iff cuts[r-2] < v <= cuts[r-1] with the
 	// conventions cuts[-1] = -inf, cuts[phi-1] = +inf.
 	cuts [][]float64
-	// cells is row-major N×D; 0 = missing.
-	cells []uint16
+	// data holds the records Fit or Apply bound the grid to, nil for
+	// FromCuts. Their cells are assigned from the values on demand, so
+	// the dataset must not change while the grid is in use.
+	data *dataset.Dataset
 }
 
-// Fit builds a grid with phi ranges per dimension over the dataset.
-// phi must be at least 2 and fit in uint16. Columns are independent,
-// so their cuts are placed on a pool of GOMAXPROCS workers, each with
-// one column buffer reused across its block of dimensions; the grid is
-// identical at every pool size.
+// Fit places phi ranges per dimension over the dataset and binds the
+// grid to it. phi must be at least 2 and fit in uint16. Columns are
+// independent, so their cuts are placed on a pool of GOMAXPROCS
+// workers, each with one column buffer reused across its block of
+// dimensions; the grid is identical at every pool size.
 func Fit(ds *dataset.Dataset, phi int, method Method) *Grid {
 	if phi < 2 || phi > math.MaxUint16 {
 		panic(fmt.Sprintf("discretize: phi=%d out of range [2,%d]", phi, math.MaxUint16))
@@ -76,6 +80,7 @@ func Fit(ds *dataset.Dataset, phi int, method Method) *Grid {
 		D:      ds.D(),
 		Method: method,
 		cuts:   make([][]float64, ds.D()),
+		data:   ds,
 	}
 	if method != EquiDepth && method != EquiWidth {
 		panic("discretize: unknown method")
@@ -91,7 +96,6 @@ func Fit(ds *dataset.Dataset, phi int, method Method) *Grid {
 			}
 		}
 	})
-	g.assignCells(ds)
 	return g
 }
 
@@ -230,14 +234,12 @@ func equiWidthCuts(col []float64, phi int) []float64 {
 	return cuts
 }
 
-// Apply discretizes a dataset with externally fitted cut points: the
-// grid carries the given boundaries and the dataset's cell
-// assignments under them. This is the shard-side half of a
-// distributed fit — the coordinator computes global cuts over the
-// concatenated data, and each shard applies them to its rows, so the
-// shards' cell assignments concatenate to exactly what a single-node
-// Fit over all rows would have produced. The cuts contract matches
-// FromCuts: phi−1 ascending boundaries per dimension.
+// Apply binds a dataset to externally fitted cut points. This is the
+// shard-side half of a distributed fit — the coordinator computes
+// global cuts over the concatenated data, and each shard applies them
+// to its rows, so the shards' cells concatenate to exactly what a
+// single-node Fit over all rows would have produced. The cuts contract
+// matches FromCuts: phi−1 ascending boundaries per dimension.
 func Apply(ds *dataset.Dataset, phi int, cuts [][]float64) *Grid {
 	if ds.N() == 0 || ds.D() == 0 {
 		panic("discretize: empty dataset")
@@ -246,29 +248,16 @@ func Apply(ds *dataset.Dataset, phi int, cuts [][]float64) *Grid {
 		panic(fmt.Sprintf("discretize: %d cut dimensions for a %d-dimensional dataset", len(cuts), ds.D()))
 	}
 	g := FromCuts(phi, cuts)
-	g.N = ds.N()
-	g.assignCells(ds)
+	g.N, g.data = ds.N(), ds
 	return g
 }
 
-// assignCells fills the per-record cell assignments under the grid's
-// cuts, row by row in the dataset's own layout. Rows are split into
-// contiguous blocks, one per GOMAXPROCS worker, so each worker writes
-// its own span of cells.
-func (g *Grid) assignCells(ds *dataset.Dataset) {
-	g.cells = make([]uint16, g.N*g.D)
-	fanout.Blocks(g.N, fanout.Workers(-1), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g.AssignRowInto(ds.RowView(i), g.cells[i*g.D:(i+1)*g.D])
-		}
-	})
-}
-
 // FromCuts reconstructs a grid from previously fitted cut points —
-// the deserialization path for persisted models. The grid carries no
-// record assignments (N = 0): Cell and CellsRow are unavailable, but
+// the deserialization path for persisted models. The grid is bound to
+// no records (N = 0): Cell and CellsRow are unavailable, but
 // AssignValue, AssignRow, RangeBounds and DescribeRange work exactly
-// as on the original. Each dimension must supply phi−1 ascending cuts.
+// as on the original. Each dimension must supply phi−1 ascending cuts,
+// none of them NaN.
 func FromCuts(phi int, cuts [][]float64) *Grid {
 	if phi < 2 || phi > math.MaxUint16 {
 		panic(fmt.Sprintf("discretize: phi=%d out of range [2,%d]", phi, math.MaxUint16))
@@ -276,31 +265,56 @@ func FromCuts(phi int, cuts [][]float64) *Grid {
 	if len(cuts) == 0 {
 		panic("discretize: FromCuts with no dimensions")
 	}
-	g := &Grid{Phi: phi, N: 0, D: len(cuts), Method: EquiDepth,
-		cuts: make([][]float64, len(cuts))}
 	for j, c := range cuts {
 		if len(c) != phi-1 {
 			panic(fmt.Sprintf("discretize: dimension %d has %d cuts, want %d", j, len(c), phi-1))
 		}
-		for i := 1; i < len(c); i++ {
-			if c[i] < c[i-1] {
+		for i, v := range c {
+			if math.IsNaN(v) || i > 0 && v < c[i-1] {
 				panic(fmt.Sprintf("discretize: dimension %d cuts not ascending", j))
 			}
 		}
-		g.cuts[j] = append([]float64(nil), c...)
 	}
+	g := &Grid{Phi: phi, N: 0, D: len(cuts), Method: EquiDepth}
+	g.cuts = copyCuts(cuts)
 	return g
+}
+
+// copyCuts deep-copies a cut table into one backing array, so a copy
+// costs two allocations at any dimensionality.
+func copyCuts(cuts [][]float64) [][]float64 {
+	n := 0
+	for _, c := range cuts {
+		n += len(c)
+	}
+	flat := make([]float64, 0, n)
+	out := make([][]float64, len(cuts))
+	for j, c := range cuts {
+		flat = append(flat, c...)
+		out[j] = flat[len(flat)-len(c) : len(flat) : len(flat)]
+	}
+	return out
 }
 
 // AllCuts returns every dimension's boundaries as a deep copy — the
 // serialization counterpart of FromCuts.
 func (g *Grid) AllCuts() [][]float64 {
-	out := make([][]float64, g.D)
-	for j := range out {
-		out[j] = append([]float64(nil), g.cuts[j]...)
-	}
-	return out
+	return copyCuts(g.cuts)
 }
+
+// AppendCuts appends every dimension's boundaries to dst in dimension
+// order, phi−1 per dimension, and returns the extended slice — one
+// flat table for callers that search many dimensions' cuts in turn.
+func (g *Grid) AppendCuts(dst []float64) []float64 {
+	for _, c := range g.cuts {
+		dst = append(dst, c...)
+	}
+	return dst
+}
+
+// Data returns the records the grid is bound to: the dataset given to
+// Fit or Apply, nil for FromCuts.
+func (g *Grid) Data() *dataset.Dataset { return g.data }
 
 // AssignValue maps an arbitrary value (not necessarily from the
 // fitted data) to its 1-based range in dimension j, or 0 for NaN.
@@ -362,21 +376,20 @@ func (g *Grid) assign(j int, v float64) uint16 {
 }
 
 // Cell returns the 1-based range of record i in dimension j, or 0 when
-// the attribute is missing.
+// the attribute is missing, assigned from the record's value.
 func (g *Grid) Cell(i, j int) uint16 {
 	if i < 0 || i >= g.N || j < 0 || j >= g.D {
 		panic(fmt.Sprintf("discretize: Cell(%d,%d) out of range %dx%d", i, j, g.N, g.D))
 	}
-	return g.cells[i*g.D+j]
+	return g.assign(j, g.data.RowView(i)[j])
 }
 
-// CellsRow returns record i's assignment vector as a view; callers
-// must not mutate it.
+// CellsRow returns record i's assignment vector as a fresh slice.
 func (g *Grid) CellsRow(i int) []uint16 {
 	if i < 0 || i >= g.N {
 		panic(fmt.Sprintf("discretize: CellsRow(%d) out of range [0,%d)", i, g.N))
 	}
-	return g.cells[i*g.D : (i+1)*g.D : (i+1)*g.D]
+	return g.AssignRow(g.data.RowView(i))
 }
 
 // Cuts returns dimension j's boundaries (phi-1 ascending values) as a
@@ -414,7 +427,7 @@ func (g *Grid) RangeBounds(j int, r uint16) (lo, hi float64) {
 func (g *Grid) RangeCounts(j int) (counts []int, missing int) {
 	counts = make([]int, g.Phi)
 	for i := 0; i < g.N; i++ {
-		c := g.cells[i*g.D+j]
+		c := g.Cell(i, j)
 		if c == 0 {
 			missing++
 		} else {

@@ -375,6 +375,10 @@ func TestFromCutsValidation(t *testing.T) {
 		"empty":      func() { FromCuts(3, nil) },
 		"wrong cuts": func() { FromCuts(3, [][]float64{{0.5}}) },
 		"descending": func() { FromCuts(3, [][]float64{{0.9, 0.1}}) },
+		"NaN first":  func() { FromCuts(3, [][]float64{{math.NaN(), 0.1}}) },
+		"NaN last":   func() { FromCuts(3, [][]float64{{0.1, math.NaN()}}) },
+		"all NaN":    func() { FromCuts(3, [][]float64{{math.NaN(), math.NaN()}}) },
+		"Apply NaN":  func() { Apply(uniformDS(10, 1, 1), 3, [][]float64{{0.1, math.NaN()}}) },
 	} {
 		func() {
 			defer func() {

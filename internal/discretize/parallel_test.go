@@ -55,20 +55,9 @@ func serialCuts(ds *dataset.Dataset, phi int, method Method) [][]float64 {
 	return cuts
 }
 
-// serialCells is the reference cell assignment under the given cuts:
-// every row in order on the calling goroutine.
-func serialCells(ds *dataset.Dataset, phi int, cuts [][]float64) []uint16 {
-	g := &Grid{Phi: phi, D: ds.D(), cuts: cuts}
-	cells := make([]uint16, ds.N()*ds.D())
-	for i := 0; i < ds.N(); i++ {
-		g.AssignRowInto(ds.RowView(i), cells[i*ds.D():(i+1)*ds.D()])
-	}
-	return cells
-}
-
-// checkGrid compares g against the reference cuts and cells, bit for
-// bit (NaN cuts included).
-func checkGrid(t *testing.T, label string, g *Grid, cuts [][]float64, cells []uint16) {
+// checkCuts compares g's cuts against the reference, bit for bit (NaN
+// cuts included).
+func checkCuts(t *testing.T, label string, g *Grid, cuts [][]float64) {
 	t.Helper()
 	for j := range cuts {
 		for r := range cuts[j] {
@@ -77,19 +66,13 @@ func checkGrid(t *testing.T, label string, g *Grid, cuts [][]float64, cells []ui
 			}
 		}
 	}
-	if len(g.cells) != len(cells) {
-		t.Fatalf("%s: %d cells, serial %d", label, len(g.cells), len(cells))
-	}
-	for k := range cells {
-		if g.cells[k] != cells[k] {
-			t.Fatalf("%s: cell (%d,%d) = %d, serial %d", label, k/g.D, k%g.D, g.cells[k], cells[k])
-		}
-	}
 }
 
-// TestFitApplyGOMAXPROCS holds the parallel Fit and Apply to the
-// serial reference at several pool sizes, including more workers than
-// columns and row counts that no pool size above one divides.
+// TestFitApplyGOMAXPROCS holds the parallel Fit's cuts to the serial
+// reference at several pool sizes, including more workers than
+// columns, and checks that Fit and Apply bind the grid to the dataset.
+// Fit and Apply assign no cells; grid.TestBuildGOMAXPROCS holds the
+// index built from these shapes to a per-value reference.
 func TestFitApplyGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	shapes := []struct{ n, d int }{{5, 3}, {1003, 3}, {1003, 13}, {257, 40}}
@@ -100,12 +83,18 @@ func TestFitApplyGOMAXPROCS(t *testing.T) {
 			for _, method := range []Method{EquiDepth, EquiWidth} {
 				const phi = 7
 				label := fmt.Sprintf("GOMAXPROCS=%d %dx%d %v", procs, sh.n, sh.d, method)
-				cuts := serialCuts(ds, phi, method)
-				checkGrid(t, label+" Fit", Fit(ds, phi, method), cuts, serialCells(ds, phi, cuts))
+				g := Fit(ds, phi, method)
+				checkCuts(t, label+" Fit", g, serialCuts(ds, phi, method))
 				// Apply the cuts of another window, as a shard applies the
 				// coordinator's global cuts to its own rows.
 				other := serialCuts(sweepDS(sh.n+11, sh.d, 99), phi, EquiDepth)
-				checkGrid(t, label+" Apply", Apply(ds, phi, other), other, serialCells(ds, phi, other))
+				a := Apply(ds, phi, other)
+				checkCuts(t, label+" Apply", a, other)
+				for _, bound := range []*Grid{g, a} {
+					if bound.N != sh.n || bound.Data() != ds {
+						t.Fatalf("%s: grid bound to N=%d, want the %d-row dataset", label, bound.N, sh.n)
+					}
+				}
 			}
 		}
 	}

@@ -286,9 +286,9 @@ func Fit(d *core.Detector, opt Options) (*Result, error) {
 		}
 		// Evidence: flip the "most negative covering sparsity" score to
 		// an outlierness (0 = uncovered, larger = sparser subspace).
-		col := make([]float64, d.N())
-		for i := range col {
-			col[i] = -sr.Score(d, i)
+		col := d.Scores(sr.Projections)
+		for i, s := range col {
+			col[i] = -s
 		}
 		res.Evidence[r] = col
 	})

@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -241,5 +242,23 @@ func TestEnsembleFindsPlanted(t *testing.T) {
 	top := res.Ranked()[:len(truth)*4]
 	if rec := synth.Recall(top, truth); rec < 2.0/3 {
 		t.Fatalf("recall@%d = %v, want >= 2/3 (truth %v, top %v)", len(top), rec, truth, top[:10])
+	}
+}
+
+// Member evidence comes from index covers and must equal the
+// per-record Score loop it replaced, negated, bit for bit.
+func TestEvidenceMatchesScoreLoop(t *testing.T) {
+	det, _ := testDetector(t, 220, 8, 4, 43)
+	res := fitOrDie(t, det, Options{
+		Members: 4, BagSize: 5, K: 2, M: 6, Combiner: RankCombiner, Seed: 7,
+		PopSize: 24, MaxGenerations: 20,
+	})
+	for r, mem := range res.Members {
+		sr := &core.Result{Projections: mem.Projections}
+		for i, ev := range res.Evidence[r] {
+			if want := -sr.Score(det, i); math.Float64bits(ev) != math.Float64bits(want) {
+				t.Fatalf("member %d record %d: evidence %v, Score loop %v", r, i, ev, want)
+			}
+		}
 	}
 }

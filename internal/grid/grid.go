@@ -23,36 +23,70 @@ import (
 // Index is an immutable bitmap index over a fitted grid.
 type Index struct {
 	N, D, Phi int
-	// bits[j][r-1] holds the records whose dimension-j attribute falls
-	// in range r. Records missing attribute j appear in no bitmap of
-	// dimension j.
-	bits [][]*bitset.Set
+	// sets[j·Phi+r-1] holds the records whose dimension-j attribute
+	// falls in range r. Records missing attribute j appear in no bitmap
+	// of dimension j. All D·Phi bitmaps share one backing array.
+	sets []bitset.Set
 }
 
-// Build constructs the index from a fitted discretization. Each of
-// GOMAXPROCS workers owns a contiguous block of dimensions and scans
-// every record for them, so every bitmap has exactly one writer and
-// the index is identical at every pool size.
+// Build constructs the index from a grid bound to its records (Fit or
+// Apply; a FromCuts grid gives an index over no records). It reads the
+// values and the cuts directly: rows are split into blocks of whole
+// 64-record words, one block per GOMAXPROCS worker, so every bitmap
+// word has exactly one writer and the index is identical at every pool
+// size. Within a word each value's bit is ORed into a contiguous D·Phi
+// word scratch, which is stored into the bitmaps once per word instead
+// of touching D·Phi cache lines per record.
 func Build(g *discretize.Grid) *Index {
-	ix := &Index{N: g.N, D: g.D, Phi: g.Phi}
-	ix.bits = make([][]*bitset.Set, g.D)
-	fanout.Blocks(g.D, fanout.Workers(-1), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			ix.bits[j] = make([]*bitset.Set, g.Phi)
-			for r := 0; r < g.Phi; r++ {
-				ix.bits[j][r] = bitset.New(g.N)
-			}
-		}
-		for i := 0; i < g.N; i++ {
-			row := g.CellsRow(i)
-			for j := lo; j < hi; j++ {
-				if r := row[j]; r != 0 {
-					ix.bits[j][r-1].Set(i)
+	ix := &Index{N: g.N, D: g.D, Phi: g.Phi, sets: bitset.NewMany(g.N, g.D*g.Phi)}
+	if g.N == 0 {
+		return ix
+	}
+	ds, n, phi, nc := g.Data(), g.N, g.Phi, g.Phi-1
+	cuts := g.AppendCuts(make([]float64, 0, g.D*nc))
+	fanout.Blocks((n+63)/64, fanout.Workers(-1), func(lo, hi int) {
+		acc := make([]uint64, g.D*phi)
+		for w := lo; w < hi; w++ {
+			for i := w * 64; i < min(w*64+64, n); i++ {
+				bit := uint64(1) << (uint(i) % 64)
+				for j, v := range ds.RowView(i) {
+					r := rangeIndex(cuts[j*nc:j*nc+nc], v)
+					// A missing value's search ends at Phi-1; its bit is
+					// masked off instead of branched around.
+					acc[j*phi+r] |= bit & -uint64(b2i(v == v))
 				}
+			}
+			for k, a := range acc {
+				ix.sets[k].SetWord(w, a)
+				acc[k] = 0
 			}
 		}
 	})
 	return ix
+}
+
+// rangeIndex returns the 0-based range of v under ascending cuts: the
+// number of leading cuts below v. It is a branch-free lower bound whose
+// step count depends only on len(cuts), stepping right iff
+// !(cuts[m] >= v), so a NaN v lands past every cut (callers mask it
+// off). On every ascending cut list that is NaN-free or all NaN it
+// equals discretize's per-value bisection minus one; FromCuts and Fit
+// produce no other kind.
+func rangeIndex(cuts []float64, v float64) int {
+	base, n := 0, len(cuts)
+	for n > 1 {
+		half := n >> 1
+		base += half * b2i(!(cuts[base+half] >= v))
+		n -= half
+	}
+	return base + b2i(!(cuts[base] >= v))
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // RangeSet returns the bitmap of records in range r (1-based) of
@@ -64,7 +98,7 @@ func (ix *Index) RangeSet(j int, r uint16) *bitset.Set {
 	if r < 1 || int(r) > ix.Phi {
 		panic(fmt.Sprintf("grid: range %d out of [1,%d]", r, ix.Phi))
 	}
-	return ix.bits[j][r-1]
+	return &ix.sets[j*ix.Phi+int(r)-1]
 }
 
 // gather collects the bitmaps of a cube's constraints into buf.
@@ -166,18 +200,25 @@ func (ix *Index) SparsityOf(n, k int) float64 {
 	return stats.Sparsity(n, ix.N, k, ix.Phi)
 }
 
-// NaiveCount scans the discretization directly, without bitmaps. It is
-// the correctness oracle for Count in tests and the baseline in the
-// counting-backend ablation.
+// NaiveCount scans the grid's records directly, without bitmaps,
+// assigning each one's constrained positions from its values: O(N·k)
+// for a cube with k constraints. It is the correctness oracle for
+// Count in tests and the baseline in the counting-backend ablation.
 func NaiveCount(g *discretize.Grid, c cube.Cube) int {
 	if len(c) != g.D {
 		panic(fmt.Sprintf("grid: cube over %d dims, grid over %d", len(c), g.D))
 	}
+	dims := c.Dims()
 	n := 0
 	for i := 0; i < g.N; i++ {
-		if c.Covers(g.CellsRow(i)) {
-			n++
+		in := true
+		for _, j := range dims {
+			if g.Cell(i, j) != c[j] {
+				in = false
+				break
+			}
 		}
+		n += b2i(in)
 	}
 	return n
 }

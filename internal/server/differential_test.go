@@ -219,6 +219,34 @@ func TestScoreSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state allocs per scored batch-1 request: %v", allocs)
 }
 
+// A labeled binary request costs an unlabeled one's allocations plus at
+// most one per distinct label: the decoder reuses the arena's label
+// slice and shares one string among a label's repeats, where it used to
+// allocate a string per row.
+func TestScoreLabeledAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts are unreliable under -race")
+	}
+	const n = 10000
+	src := diffWindow(t, n, 9)
+	unlabeled := dataset.New(src.Names, n)
+	labeled := dataset.New(src.Names, n)
+	for i := 0; i < n; i++ {
+		unlabeled.AppendRow(src.RowView(i), "")
+		label := "normal"
+		if i%17 == 5 {
+			label = "outlier"
+		}
+		labeled.AppendRow(src.RowView(i), label)
+	}
+	base := steadyScoreAllocs(t, Config{ScoreWorkers: 1}, unlabeled, 40)
+	got := steadyScoreAllocs(t, Config{ScoreWorkers: 1}, labeled, 40)
+	if got > base+2 {
+		t.Errorf("labeled batch-10000 request allocates %v per op, unlabeled %v: want at most 2 more", got, base)
+	}
+	t.Logf("steady-state allocs per batch-10000 request: unlabeled %v, labeled %v", base, got)
+}
+
 // steadyScoreAllocs serves one binary score request for batch through
 // the full middleware and handler stack of a server built from cfg,
 // warms the pools, and returns the mean allocations over runs

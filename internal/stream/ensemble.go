@@ -9,6 +9,7 @@ import (
 	"hido/internal/core"
 	"hido/internal/cube"
 	"hido/internal/dataset"
+	"hido/internal/discretize"
 	"hido/internal/ensemble"
 )
 
@@ -103,7 +104,6 @@ func (m *Monitor) refitEnsemble(reference *dataset.Dataset, det *core.Detector) 
 		return err
 	}
 
-	n := det.N()
 	members := make([]memberModel, len(res.Members))
 	for r, mem := range res.Members {
 		var kept []core.Projection
@@ -114,10 +114,11 @@ func (m *Monitor) refitEnsemble(reference *dataset.Dataset, det *core.Detector) 
 		}
 		// Calibrate against the RETAINED projections: the served
 		// evidence of a reference record must equal its calibration
-		// evidence, or rank/z-score lookups would be biased.
-		ev := make([]float64, n)
-		for i := 0; i < n; i++ {
-			ev[i] = memberEvidence(kept, det.Grid.CellsRow(i))
+		// evidence, or rank/z-score lookups would be biased. Evidence is
+		// core.Result.Score negated, the ensemble convention.
+		ev := det.Scores(kept)
+		for i, s := range ev {
+			ev[i] = -s
 		}
 		mu, sd := ensemble.MeanStd(ev)
 		sort.Float64s(ev)
@@ -132,27 +133,13 @@ func (m *Monitor) refitEnsemble(reference *dataset.Dataset, det *core.Detector) 
 	if m.grid != nil && det.D() != m.grid.D {
 		return fmt.Errorf("stream: refit window has %d dims, model has %d", det.D(), m.grid.D)
 	}
-	m.grid = det.Grid
+	m.grid = discretize.FromCuts(det.Phi(), det.Grid.AllCuts())
 	m.names = append([]string(nil), reference.Names...)
 	m.projections = union
 	m.k = advice.K
 	m.members = members
 	m.combiner = comb
 	return nil
-}
-
-// memberEvidence is one member's outlierness for a record: the negated
-// most-negative sparsity among its projections covering the record's
-// cells, 0 when none covers (core.Result.Score negated — the ensemble
-// evidence convention).
-func memberEvidence(projs []core.Projection, cells []uint16) float64 {
-	best := 0.0
-	for _, p := range projs {
-		if p.Sparsity < best && p.Cube.Covers(cells) {
-			best = p.Sparsity
-		}
-	}
-	return -best
 }
 
 // buildUnion deduplicates the members' projections into one flat list —

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"hido/internal/dataset"
 	"hido/internal/obs"
 	"hido/internal/synth"
 	"hido/internal/xrand"
@@ -379,5 +382,69 @@ func TestFailedRefitKeepsModel(t *testing.T) {
 	}
 	if got := m.Score(probe); !reflect.DeepEqual(got, scored) {
 		t.Errorf("failed refit changed the score: %+v -> %+v", scored, got)
+	}
+}
+
+// A monitor keeps its model's cuts, not the window it fitted them on:
+// after NewMonitor, Refit and a window refit its grid is bound to no
+// records, and the window a model was fitted on is collected while
+// that model is still current (a finalizer stands in for
+// weak.Pointer, which needs a newer Go than go.mod pins).
+func TestMonitorRetainsNoDataset(t *testing.T) {
+	for _, ens := range []*EnsembleOptions{nil, {Members: 3}} {
+		opt := Options{Phi: 5, Seed: 11, Ensemble: ens}
+		// fit runs fn on a fresh window the caller does not keep, then
+		// waits for the window to be collected.
+		fit := func(step string, seed uint64, fn func(*dataset.Dataset) error) {
+			t.Helper()
+			collected := make(chan struct{})
+			func() {
+				win := reference(300, seed)
+				runtime.SetFinalizer(win, func(*dataset.Dataset) { close(collected) })
+				if err := fn(win); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			// Finalizers run on their own goroutine after the cycle that
+			// finds the object unreachable.
+			for deadline := time.Now().Add(5 * time.Second); ; {
+				runtime.GC()
+				select {
+				case <-collected:
+					return
+				case <-time.After(time.Millisecond):
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("ensemble=%v: the window fitted by %s is still reachable", ens != nil, step)
+				}
+			}
+		}
+		var m *Monitor
+		fit("NewMonitor", 3, func(win *dataset.Dataset) (err error) {
+			m, err = NewMonitor(win, opt)
+			return err
+		})
+		if m.grid.N != 0 {
+			t.Fatalf("ensemble=%v: grid after NewMonitor bound to %d records", ens != nil, m.grid.N)
+		}
+		fit("Refit", 4, func(win *dataset.Dataset) error { return m.Refit(win) })
+		if m.grid.N != 0 {
+			t.Fatalf("ensemble=%v: grid after Refit bound to %d records", ens != nil, m.grid.N)
+		}
+		if err := m.EnableIngest(IngestOptions{Window: 200, RefitEvery: 1 << 20}); err != nil {
+			t.Fatal(err)
+		}
+		win := reference(200, 5)
+		for i := 0; i < win.N(); i++ {
+			if _, err := m.Ingest(win.RowView(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.RefitFromWindow(); err != nil {
+			t.Fatal(err)
+		}
+		if m.grid.N != 0 {
+			t.Fatalf("ensemble=%v: grid after a window refit bound to %d records", ens != nil, m.grid.N)
+		}
 	}
 }

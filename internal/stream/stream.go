@@ -191,7 +191,9 @@ func (m *Monitor) refitDetector(reference *dataset.Dataset, det *core.Detector) 
 	if m.grid != nil && det.D() != m.grid.D {
 		return fmt.Errorf("stream: refit window has %d dims, model has %d", det.D(), m.grid.D)
 	}
-	m.grid = det.Grid
+	// Keep the cuts only, as a loaded model does: the detector's grid
+	// is bound to the reference window, which the model must not pin.
+	m.grid = discretize.FromCuts(det.Phi(), det.Grid.AllCuts())
 	m.names = append([]string(nil), reference.Names...)
 	m.projections = res.Projections
 	m.k = advice.K
