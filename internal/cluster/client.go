@@ -113,22 +113,21 @@ func IsGridMiss(err error) bool {
 	return errors.As(err, &se) && se.Code == http.StatusConflict
 }
 
-// peerCap is what the client has learned about a peer's protocol
-// vintage, for trace-envelope negotiation.
-type peerCap uint8
-
+// Trace context rides beside the hcp1 frame as two HTTP request
+// headers, so a traced RPC sends the same frame bytes as an untraced
+// one and a peer that does not trace ignores headers it does not
+// know: old and new peers interoperate in both directions with no
+// negotiation.
 const (
-	capUnknown peerCap = iota // not probed yet: try the envelope
-	capModern                 // parsed a wrapped frame: keep wrapping
-	capLegacy                 // rejected the envelope magic: send bare frames
+	traceHeader  = "X-Trace-Id"
+	parentHeader = "X-Parent-Span"
 )
 
 // Client issues framed RPCs to storage peers with per-peer attempt
 // timeouts, bounded retries with exponential backoff, and in-flight
 // tracking for graceful drain. When the calling context carries a
-// span (obs.SpanFrom), every attempt gets a child span and the
-// request frame is wrapped in the trace envelope — unless the peer
-// has been learned to predate it.
+// span (obs.SpanFrom), every attempt gets a child span whose trace
+// and span IDs travel in the trace headers.
 type Client struct {
 	cfg   ClientConfig
 	httpc *http.Client
@@ -137,15 +136,12 @@ type Client struct {
 	// jitter yields a uniform value in [0,1) for retry-delay spreading;
 	// swapped for a deterministic source in tests.
 	jitter func() float64
-
-	capMu sync.Mutex
-	caps  map[string]peerCap
 }
 
 // NewClient builds a peer client.
 func NewClient(cfg ClientConfig) *Client {
 	cfg = cfg.withDefaults()
-	return &Client{cfg: cfg, httpc: &http.Client{}, jitter: rand.Float64, caps: map[string]peerCap{}}
+	return &Client{cfg: cfg, httpc: &http.Client{}, jitter: rand.Float64}
 }
 
 // maxBackoffFactor caps the exponential retry backoff at this multiple
@@ -166,23 +162,6 @@ func (c *Client) retryDelay(n int) time.Duration {
 		d = capped
 	}
 	return time.Duration(float64(d) * (0.75 + 0.5*c.jitter()))
-}
-
-func (c *Client) peerCap(peer string) peerCap {
-	c.capMu.Lock()
-	defer c.capMu.Unlock()
-	return c.caps[peer]
-}
-
-func (c *Client) setPeerCap(peer string, pc peerCap) {
-	c.capMu.Lock()
-	if c.caps[peer] != pc {
-		c.caps[peer] = pc
-		c.capMu.Unlock()
-		c.cfg.Logger.Info("peer trace capability learned", "peer", peer, "modern", pc == capModern)
-		return
-	}
-	c.capMu.Unlock()
 }
 
 // Call posts one request frame to peer's rpc endpoint and returns the
@@ -214,7 +193,7 @@ func (c *Client) Call(ctx context.Context, peer, rpc string, reqFrame []byte, wa
 		sp := parent.Child("rpc:" + rpc)
 		sp.SetAttr("peer", peer)
 		sp.SetAttrInt("attempt", int64(attempt+1))
-		payload, err := c.attempt(ctx, peer, rpc, reqFrame, wantResp, sp)
+		payload, err := c.attempt(ctx, peer, rpc, reqFrame, wantResp, sp.Context())
 		if err == nil {
 			sp.End()
 			if c.cfg.Metrics != nil {
@@ -243,54 +222,22 @@ func (c *Client) Call(ctx context.Context, peer, rpc string, reqFrame []byte, wa
 		peer, rpc, c.cfg.Retries+1, lastErr)
 }
 
-// attempt runs one RPC exchange, negotiating the trace envelope. With
-// a span in hand and a peer not known to be legacy, the frame goes
-// out wrapped; a 400 from an unprobed peer triggers one bare-frame
-// fallback in the same attempt — if that gets a definitive answer the
-// peer is remembered as legacy, so the probe costs one extra exchange
-// per peer per process lifetime, not per request.
-func (c *Client) attempt(ctx context.Context, peer, rpc string, reqFrame []byte, wantResp msgType, sp *obs.Span) ([]byte, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+// attempt runs one RPC exchange under the per-attempt timeout:
+// request frame out, response frame (or *StatusError) back. A traced
+// call (non-empty sc) sets the trace headers.
+func (c *Client) attempt(ctx context.Context, peer, rpc string, reqFrame []byte, wantResp msgType, sc obs.SpanContext) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	sc := sp.Context()
-	if sc.TraceID == "" || c.peerCap(peer) == capLegacy {
-		return c.post(actx, peer, rpc, reqFrame, wantResp)
-	}
-	payload, err := c.post(actx, peer, rpc, wrapTraceFrame(sc.TraceID, sc.SpanID, reqFrame), wantResp)
-	var se *StatusError
-	switch {
-	case err == nil:
-		c.setPeerCap(peer, capModern)
-		return payload, nil
-	case errors.As(err, &se) && se.Code == http.StatusBadRequest && c.peerCap(peer) == capUnknown:
-		// Either a pre-tracing server choked on the envelope magic, or
-		// the inner request is genuinely bad. The bare retry separates
-		// the two: a non-400 verdict means the envelope was the problem.
-		payload, err = c.post(actx, peer, rpc, reqFrame, wantResp)
-		var bare *StatusError
-		if err == nil || (errors.As(err, &bare) && bare.Code != http.StatusBadRequest && bare.Code < 500) {
-			c.setPeerCap(peer, capLegacy)
-		}
-		return payload, err
-	case errors.As(err, &se) && (se.Code == http.StatusConflict || se.Code == http.StatusPreconditionFailed):
-		// Grid-miss and model-miss verdicts come from the inner handler:
-		// the peer unwrapped the envelope fine.
-		c.setPeerCap(peer, capModern)
-		return nil, err
-	default:
-		return nil, err
-	}
-}
-
-// post runs one HTTP exchange: request frame out, response frame (or
-// *StatusError) back.
-func (c *Client) post(ctx context.Context, peer, rpc string, body []byte, wantResp msgType) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		peer+"/rpc/v1/"+rpc, bytes.NewReader(body))
+		peer+"/rpc/v1/"+rpc, bytes.NewReader(reqFrame))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
+	if sc.TraceID != "" {
+		req.Header.Set(traceHeader, sc.TraceID)
+		req.Header.Set(parentHeader, sc.SpanID)
+	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
 		return nil, err

@@ -682,57 +682,6 @@ func (m *topNResp) decode(p []byte) error {
 	return d.err()
 }
 
-// ---- trace envelope ----
-
-// The trace envelope carries distributed-tracing context around an
-// unmodified hcp1 frame: "hct1" magic, length-prefixed trace ID,
-// length-prefixed parent span ID, then the complete inner frame
-// (which self-validates through decodeFrame, so it needs no second
-// length prefix).
-//
-// An out-of-band wrapper — rather than any in-band frame extension —
-// is what keeps the protocol change backward compatible in both
-// directions: the strict hcp1 decoder rejects unknown types, length
-// mismatches and trailing bytes, so there is no in-band slot to hide
-// context in. An old server answers a wrapped frame with 400 ("bad
-// frame magic"); the client hears that once, falls back to the bare
-// frame, and remembers the peer is pre-tracing (see Client.attempt).
-// An old client's bare frames pass through a new server untouched.
-const traceMagic = "hct1"
-
-// maxTraceField bounds the envelope's ID strings; real IDs are ~20
-// bytes, so anything bigger is hostile.
-const maxTraceField = 256
-
-// wrapTraceFrame wraps a frame in the trace envelope.
-func wrapTraceFrame(traceID, parentSpan string, frame []byte) []byte {
-	e := enc{b: make([]byte, 0, len(traceMagic)+8+len(traceID)+len(parentSpan)+len(frame))}
-	e.b = append(e.b, traceMagic...)
-	e.str(traceID)
-	e.str(parentSpan)
-	e.b = append(e.b, frame...)
-	return e.b
-}
-
-// unwrapTraceFrame strips the trace envelope if present. A body that
-// does not start with the envelope magic — an old client, or tracing
-// off — is returned unchanged with a zero context. A body that
-// claims the magic but truncates the header is an error.
-func unwrapTraceFrame(b []byte) (obs.SpanContext, []byte, error) {
-	if len(b) < len(traceMagic) || string(b[:len(traceMagic)]) != traceMagic {
-		return obs.SpanContext{}, b, nil
-	}
-	d := dec{b: b, off: len(traceMagic)}
-	sc := obs.SpanContext{
-		TraceID: d.str(maxTraceField),
-		SpanID:  d.str(maxTraceField),
-	}
-	if d.fail != "" {
-		return obs.SpanContext{}, nil, fmt.Errorf("cluster: trace envelope: %s", d.fail)
-	}
-	return sc, b[d.off:], nil
-}
-
 // ---- trace ----
 
 // traceReq asks a node for the completed spans it still holds for one
@@ -750,7 +699,7 @@ func (m *traceReq) encode() []byte {
 
 func (m *traceReq) decode(p []byte) error {
 	d := dec{b: p}
-	m.TraceID = d.str(maxTraceField)
+	m.TraceID = d.str(obs.MaxIDLen)
 	return d.err()
 }
 

@@ -88,7 +88,7 @@ func NewStorage(ds *dataset.Dataset, logger *slog.Logger) *Storage {
 func (st *Storage) Fingerprint() string { return st.fp }
 
 // SetSpans enables distributed tracing on this node: RPCs arriving
-// with a trace envelope continue the caller's trace as spans in r's
+// with trace headers continue the caller's trace as spans in r's
 // ring, served back through the trace RPC and the node's own debug
 // endpoints. nil (the default) disables tracing. Must be set before
 // the node starts serving.
@@ -203,34 +203,39 @@ func rpcErrorf(code int, format string, args ...any) error {
 	return &rpcError{code: code, msg: fmt.Sprintf(format, args...)}
 }
 
-// serveRPC reads, validates and dispatches one frame, writing either
-// the handler's response frame or a plain-text error. A trace
-// envelope around the frame continues the caller's trace as a span on
-// this node. Returns the status code for metrics and the trace ID
-// (if any) for the debug log.
+// serveRPC reads one frame and answers it through dispatch. Trace
+// headers continue the caller's trace as a span on this node. Returns
+// the status code for metrics and the recorded trace ID (if any) for
+// the debug log.
 func (st *Storage) serveRPC(w http.ResponseWriter, r *http.Request, name string, want msgType, h func([]byte) ([]byte, error)) (int, string) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFramePayload+64))
 	if err != nil {
 		return writeRPCError(w, http.StatusRequestEntityTooLarge, err.Error()), ""
 	}
-	sc, body, err := unwrapTraceFrame(body)
-	if err != nil {
-		return writeRPCError(w, http.StatusBadRequest, err.Error()), ""
-	}
-	// Continue the select node's trace; nil st.spans or a bare frame
-	// yields a nil span and every call below is a no-op.
-	sp := st.spans.Continue("storage:"+name, sc)
+	// Continue the select node's trace; nil st.spans, absent headers or
+	// IDs over obs.MaxIDLen yield a nil span and every span call is a
+	// no-op.
+	sp := st.spans.Continue("storage:"+name, obs.SpanContext{
+		TraceID: r.Header.Get(traceHeader),
+		SpanID:  r.Header.Get(parentHeader),
+	})
+	traceID := sp.TraceID()
+	code := dispatch(w, body, want, h)
+	sp.SetAttrInt("code", int64(code))
+	sp.End()
+	return code, traceID
+}
+
+// dispatch validates one frame and writes either the handler's
+// response frame or a plain-text error, returning the status code.
+func dispatch(w http.ResponseWriter, body []byte, want msgType, h func([]byte) ([]byte, error)) int {
 	t, payload, err := decodeFrame(body)
 	if err != nil {
-		code := writeRPCError(w, http.StatusBadRequest, err.Error())
-		endRPCSpan(sp, code)
-		return code, sc.TraceID
+		return writeRPCError(w, http.StatusBadRequest, err.Error())
 	}
 	if t != want {
-		code := writeRPCError(w, http.StatusBadRequest,
+		return writeRPCError(w, http.StatusBadRequest,
 			fmt.Sprintf("cluster: message type %d on a type-%d endpoint", t, want))
-		endRPCSpan(sp, code)
-		return code, sc.TraceID
 	}
 	resp, err := h(payload)
 	if err != nil {
@@ -239,21 +244,12 @@ func (st *Storage) serveRPC(w http.ResponseWriter, r *http.Request, name string,
 		if errors.As(err, &re) {
 			code = re.code
 		}
-		code = writeRPCError(w, code, err.Error())
-		endRPCSpan(sp, code)
-		return code, sc.TraceID
+		return writeRPCError(w, code, err.Error())
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	w.Write(resp)
-	endRPCSpan(sp, http.StatusOK)
-	return http.StatusOK, sc.TraceID
-}
-
-// endRPCSpan stamps the outcome on a storage-side span. Nil-safe.
-func endRPCSpan(sp *obs.Span, code int) {
-	sp.SetAttrInt("code", int64(code))
-	sp.End()
+	return http.StatusOK
 }
 
 func writeStorageJSON(w http.ResponseWriter, code int, v any) {

@@ -19,8 +19,8 @@ import (
 	"hido/internal/stream"
 )
 
-// TestTraceProtoRoundTrip drives the trace messages and the envelope
-// through encode → decode and requires them back unchanged.
+// TestTraceProtoRoundTrip drives the trace messages through encode →
+// decode and requires them back unchanged.
 func TestTraceProtoRoundTrip(t *testing.T) {
 	req := &traceReq{TraceID: "t-cafe"}
 	typ, payload, err := decodeFrame(req.encode())
@@ -52,59 +52,6 @@ func TestTraceProtoRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(resp.Spans, gotResp.Spans) {
 		t.Errorf("traceResp: got %+v want %+v", gotResp.Spans, resp.Spans)
 	}
-
-	// Envelope: wrap → unwrap returns the context and the inner frame.
-	inner := (&traceReq{TraceID: "t-1"}).encode()
-	sc, body, err := unwrapTraceFrame(wrapTraceFrame("t-1", "s-root", inner))
-	if err != nil || sc.TraceID != "t-1" || sc.SpanID != "s-root" {
-		t.Fatalf("unwrap: sc %+v err %v", sc, err)
-	}
-	if !reflect.DeepEqual(body, inner) {
-		t.Errorf("unwrap did not return the inner frame")
-	}
-
-	// A bare frame — an old client, or tracing off — passes through
-	// unchanged with a zero context.
-	sc, body, err = unwrapTraceFrame(inner)
-	if err != nil || sc.TraceID != "" || !reflect.DeepEqual(body, inner) {
-		t.Errorf("bare frame: sc %+v err %v", sc, err)
-	}
-
-	// Claiming the magic but truncating the header is an error, for
-	// every strict prefix.
-	wrapped := wrapTraceFrame("t-1", "s-root", inner)
-	for i := len(traceMagic); i < len(traceMagic)+12; i++ {
-		if _, _, err := unwrapTraceFrame(wrapped[:i]); err == nil {
-			t.Errorf("truncated envelope of %d bytes accepted", i)
-		}
-	}
-
-	// Hostile ID length: longer than maxTraceField must be rejected.
-	long := wrapTraceFrame(strings.Repeat("x", maxTraceField+1), "s", inner)
-	if _, _, err := unwrapTraceFrame(long); err == nil {
-		t.Error("oversized trace ID accepted")
-	}
-}
-
-// FuzzUnwrapTraceFrame throws hostile bytes at the envelope parser.
-// Total property: no panic, and a body without the envelope magic is
-// always passed through byte-identical.
-func FuzzUnwrapTraceFrame(f *testing.F) {
-	inner := (&traceReq{TraceID: "t-1"}).encode()
-	f.Add(wrapTraceFrame("t-1", "s-1", inner))
-	f.Add(wrapTraceFrame("", "", nil))
-	f.Add([]byte(traceMagic))
-	f.Add(append([]byte(traceMagic), 0xff, 0xff, 0xff, 0xff))
-	f.Add(inner)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sc, body, err := unwrapTraceFrame(data)
-		if len(data) < len(traceMagic) || string(data[:len(traceMagic)]) != traceMagic {
-			if err != nil || sc.TraceID != "" || sc.SpanID != "" || !reflect.DeepEqual(body, data) {
-				t.Fatalf("bare body not passed through: sc %+v err %v", sc, err)
-			}
-		}
-	})
 }
 
 // spanTreeJSON mirrors the debug endpoint's tree nodes.
@@ -370,25 +317,118 @@ func TestClientRetrySpans(t *testing.T) {
 	}
 }
 
-// TestTraceEnvelopeCompat pins both directions of wire compatibility:
-// a new client against a pre-tracing server falls back to bare frames
-// and caches the verdict; an old client's bare frames work against a
-// new server; and a genuine bad request through the envelope stays a
-// bad request without poisoning the capability cache.
-func TestTraceEnvelopeCompat(t *testing.T) {
+// TestStorageTraceHeaders pins how a storage RPC reads the trace
+// headers: a frame without them is served and records no span (an
+// untraced or pre-tracing caller), a bad frame that carries them is
+// still a 400 the client does not retry, IDs over obs.MaxIDLen are
+// served untraced, and a peer that does not trace answers a traced
+// call in one exchange.
+func TestStorageTraceHeaders(t *testing.T) {
 	ds := testData(t, 40)
+	// storageNode serves a traced storage node, counting exchanges.
+	storageNode := func(t *testing.T) (*obs.SpanRecorder, *atomic.Int32, string) {
+		rec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "storage"})
+		st := NewStorage(ds, nil)
+		st.SetSpans(rec)
+		h := st.Handler()
+		var calls atomic.Int32
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		return rec, &calls, srv.URL
+	}
+	// postInfo posts a bare info frame with the given headers.
+	postInfo := func(t *testing.T, url string, hdr map[string]string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, url+"/rpc/v1/info",
+			strings.NewReader(string(emptyFrame(msgInfoReq))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range hdr {
+			req.Header.Set(k, v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	tracedCtx := func(t *testing.T, traceID string) context.Context {
+		root := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "select"}).StartRoot("test", traceID)
+		t.Cleanup(root.End)
+		return obs.ContextWithSpan(context.Background(), root)
+	}
 
-	t.Run("new-client-old-server", func(t *testing.T) {
-		// A pre-tracing storage node: decodes the frame directly, so the
-		// envelope magic is a 400, exactly like the old serveRPC.
-		var bare, wrapped atomic.Int32
-		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			body, _ := io.ReadAll(r.Body)
-			if strings.HasPrefix(string(body), traceMagic) {
-				wrapped.Add(1)
-			} else {
-				bare.Add(1)
+	t.Run("no-headers", func(t *testing.T) {
+		rec, _, url := storageNode(t)
+		if code := postInfo(t, url, nil); code != http.StatusOK {
+			t.Fatalf("frame without trace headers: %d", code)
+		}
+		if n := rec.TotalSpans(); n != 0 {
+			t.Errorf("untraced RPC recorded %d spans, want 0", n)
+		}
+	})
+
+	t.Run("bad-frame-with-headers", func(t *testing.T) {
+		rec, calls, url := storageNode(t)
+		client := NewClient(ClientConfig{Timeout: 5 * time.Second, Retries: 2, Backoff: time.Millisecond})
+		// An info frame on the count endpoint is the shard's 400 verdict.
+		_, err := client.Call(tracedCtx(t, "t-bad"), url, "count", emptyFrame(msgInfoReq), msgCountResp)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Fatalf("got %v, want a 400 StatusError", err)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("bad frame sent %d times, want 1", n)
+		}
+		spans := rec.Trace("t-bad")
+		if len(spans) != 1 || spans[0].Name != "storage:count" {
+			t.Fatalf("storage spans for t-bad: %+v, want one storage:count", spans)
+		}
+		if got := spans[0].Attrs; len(got) != 1 || got[0] != (obs.SpanAttr{Key: "code", Value: "400"}) {
+			t.Errorf("storage:count attrs %v, want code 400", got)
+		}
+	})
+
+	t.Run("oversized-headers", func(t *testing.T) {
+		rec, _, url := storageNode(t)
+		long := strings.Repeat("x", obs.MaxIDLen+1)
+		for _, hdr := range []map[string]string{
+			{traceHeader: long, parentHeader: "s-1"},
+			{traceHeader: "t-ok", parentHeader: long},
+		} {
+			if code := postInfo(t, url, hdr); code != http.StatusOK {
+				t.Fatalf("oversized trace headers: %d, want 200", code)
 			}
+		}
+		if n := rec.TotalSpans(); n != 0 {
+			t.Errorf("oversized trace headers recorded %d spans, want 0", n)
+		}
+		// At the bound the same RPC is traced.
+		atBound := strings.Repeat("y", obs.MaxIDLen)
+		if code := postInfo(t, url, map[string]string{traceHeader: atBound, parentHeader: "s-1"}); code != http.StatusOK {
+			t.Fatalf("trace ID at the bound: %d", code)
+		}
+		if spans := rec.Trace(atBound); len(spans) != 1 || spans[0].ParentID != "s-1" {
+			t.Errorf("trace ID at the bound: spans %+v, want one parented on s-1", spans)
+		}
+	})
+
+	t.Run("peer-ignores-headers", func(t *testing.T) {
+		// A storage node that does not trace: it decodes the frame and
+		// never looks at the headers.
+		var calls atomic.Int32
+		var traced atomic.Int32
+		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			if r.Header.Get(traceHeader) == "t-compat" && r.Header.Get(parentHeader) != "" {
+				traced.Add(1)
+			}
+			body, _ := io.ReadAll(r.Body)
 			if _, _, err := decodeFrame(body); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
@@ -396,16 +436,12 @@ func TestTraceEnvelopeCompat(t *testing.T) {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Write((&infoResp{N: ds.N(), Names: ds.Names, Fingerprint: "d-x"}).encode())
 		}))
-		defer old.Close()
+		defer peer.Close()
 
-		rec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "select"})
-		root := rec.StartRoot("test", "t-compat")
-		defer root.End()
-		ctx := obs.ContextWithSpan(context.Background(), root)
+		ctx := tracedCtx(t, "t-compat")
 		client := NewClient(ClientConfig{Timeout: 5 * time.Second, Retries: -1})
-
 		for i := 0; i < 3; i++ {
-			payload, err := client.Call(ctx, old.URL, "info", emptyFrame(msgInfoReq), msgInfoResp)
+			payload, err := client.Call(ctx, peer.URL, "info", emptyFrame(msgInfoReq), msgInfoResp)
 			if err != nil {
 				t.Fatalf("call %d: %v", i, err)
 			}
@@ -414,69 +450,133 @@ func TestTraceEnvelopeCompat(t *testing.T) {
 				t.Fatalf("call %d: bad answer %+v %v", i, info, err)
 			}
 		}
-		// The probe costs exactly one wrapped exchange; every call after
-		// the verdict goes bare directly.
-		if wrapped.Load() != 1 || bare.Load() != 3 {
-			t.Errorf("wrapped=%d bare=%d, want 1 probe then bare-only", wrapped.Load(), bare.Load())
-		}
-		if client.peerCap(old.URL) != capLegacy {
-			t.Errorf("peer cap = %d, want capLegacy", client.peerCap(old.URL))
+		if calls.Load() != 3 || traced.Load() != 3 {
+			t.Errorf("exchanges=%d traced=%d, want 3 traced calls in 3 exchanges", calls.Load(), traced.Load())
 		}
 	})
+}
 
-	t.Run("old-client-new-server", func(t *testing.T) {
-		rec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "storage"})
-		st := NewStorage(ds, nil)
-		st.SetSpans(rec)
-		srv := httptest.NewServer(st.Handler())
-		defer srv.Close()
+// TestClusterOversizedTraceID sends cluster requests whose trace ID —
+// an inbound X-Trace-Id, or an X-Request-Id standing in for one — is
+// longer than obs.MaxIDLen. The select node must serve them untraced
+// and answer as it answers any request: top-n and score 200 from
+// every shard with no chunk failed over, and the next ordinary
+// request still traced across the shards, whether the coordinator has
+// served traced RPCs before or not.
+func TestClusterOversizedTraceID(t *testing.T) {
+	full := testData(t, 240)
+	mon, err := stream.NewMonitor(full, stream.Options{Phi: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", obs.MaxIDLen+1)
+	for _, header := range []string{"X-Trace-Id", "X-Request-Id"} {
+		for _, warm := range []bool{true, false} {
+			name := header + "/fresh"
+			if warm {
+				name = header + "/warm"
+			}
+			t.Run(name, func(t *testing.T) {
+				var recs []*obs.SpanRecorder
+				var peers []string
+				for _, sh := range splitAt(full, []int{70, 151}) {
+					rec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "storage"})
+					st := NewStorage(sh, nil)
+					st.SetSpans(rec)
+					srv := httptest.NewServer(st.Handler())
+					t.Cleanup(srv.Close)
+					recs = append(recs, rec)
+					peers = append(peers, srv.URL)
+				}
+				sSel := server.New(server.Config{Spans: obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "select"})})
+				m := NewMetrics(sSel.Metrics())
+				co, err := NewCoordinator(CoordinatorConfig{
+					Peers:   peers,
+					Metrics: m,
+					Client:  ClientConfig{Timeout: 10 * time.Second, Retries: -1, Backoff: time.Millisecond},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sSel.SetBatchScorer(co)
+				sSel.SetTopNer(co)
+				installModel(t, sSel, mon)
+				sel := httptest.NewServer(sSel.Handler())
+				t.Cleanup(sel.Close)
 
-		// An old client has no envelope: post the bare frame raw.
-		resp, err := http.Post(srv.URL+"/rpc/v1/info", "application/octet-stream",
-			strings.NewReader(string(emptyFrame(msgInfoReq))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("bare frame against new server: %d", resp.StatusCode)
-		}
-		// No envelope, no trace: nothing lands in the ring.
-		if n := rec.TotalSpans(); n != 0 {
-			t.Errorf("bare RPC recorded %d spans, want 0", n)
-		}
-	})
+				// send issues one request, with the oversized ID in header
+				// unless header is "".
+				send := func(method, path, header string) (*http.Response, string) {
+					t.Helper()
+					var body io.Reader
+					if method == http.MethodPost {
+						body = strings.NewReader(scoreBody(t, full))
+					}
+					req, err := http.NewRequest(method, sel.URL+path, body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.Header.Set("Content-Type", "application/x-ndjson")
+					if header != "" {
+						req.Header.Set(header, long)
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer resp.Body.Close()
+					b, err := io.ReadAll(resp.Body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return resp, string(b)
+				}
+				// tracedScore requires an ordinary score request to be
+				// traced on every shard.
+				tracedScore := func() {
+					t.Helper()
+					resp, body := send(http.MethodPost, "/api/v1/score?all=1", "")
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("score: %d %s", resp.StatusCode, body)
+					}
+					id := resp.Header.Get("X-Trace-Id")
+					for i, rec := range recs {
+						if len(rec.Trace(id)) == 0 {
+							t.Errorf("shard %d recorded no span for trace %q", i, id)
+						}
+					}
+				}
+				storageSpans := func() uint64 {
+					var n uint64
+					for _, rec := range recs {
+						n += rec.TotalSpans()
+					}
+					return n
+				}
 
-	t.Run("genuine-bad-request", func(t *testing.T) {
-		st := NewStorage(ds, nil)
-		st.SetSpans(obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "storage"}))
-		srv := httptest.NewServer(st.Handler())
-		defer srv.Close()
-
-		rec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "select"})
-		root := rec.StartRoot("test", "t-bad")
-		defer root.End()
-		ctx := obs.ContextWithSpan(context.Background(), root)
-		client := NewClient(ClientConfig{Timeout: 5 * time.Second, Retries: -1})
-
-		// An info frame on the count endpoint is a 400 from the inner
-		// dispatcher whether or not the envelope is understood, so the
-		// bare retry answers 400 too: the capability stays unknown.
-		_, err := client.Call(ctx, srv.URL, "count", emptyFrame(msgInfoReq), msgCountResp)
-		var se *StatusError
-		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
-			t.Fatalf("got %v, want a 400 StatusError", err)
+				if warm {
+					tracedScore()
+				}
+				fallback, spans := m.Fallback.Value(), storageSpans()
+				resp, body := send(http.MethodGet, "/api/v1/topn?n=5", header)
+				if resp.StatusCode != http.StatusOK || strings.Contains(body, `"partial":true`) {
+					t.Errorf("top-n with an oversized %s: %d %s", header, resp.StatusCode, body)
+				}
+				resp, body = send(http.MethodPost, "/api/v1/score?all=1", header)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("score with an oversized %s: %d %s", header, resp.StatusCode, body)
+				}
+				if got := resp.Header.Get("X-Trace-Id"); got != "" {
+					t.Errorf("untraced score answered X-Trace-Id %.40q", got)
+				}
+				if got := m.Fallback.Value(); got != fallback {
+					t.Errorf("oversized %s moved the local fallback counter %v -> %v", header, fallback, got)
+				}
+				if got := storageSpans(); got != spans {
+					t.Errorf("oversized %s recorded %d storage spans, want 0", header, got-spans)
+				}
+				tracedScore()
+			})
 		}
-		if client.peerCap(srv.URL) != capUnknown {
-			t.Errorf("genuine 400 poisoned the capability cache: %d", client.peerCap(srv.URL))
-		}
-
-		// The next well-formed call still negotiates modern.
-		if _, err := client.Call(ctx, srv.URL, "info", emptyFrame(msgInfoReq), msgInfoResp); err != nil {
-			t.Fatal(err)
-		}
-		if client.peerCap(srv.URL) != capModern {
-			t.Errorf("peer cap = %d after clean call, want capModern", client.peerCap(srv.URL))
-		}
-	})
+	}
 }

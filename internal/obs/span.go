@@ -15,7 +15,7 @@ import (
 // the serving middleware opens, whose children mark request phases
 // (decode, score, encode) and per-peer cluster RPCs, and whose
 // storage-side spans are continued on other nodes from the trace
-// context carried in the hcp1 frame envelope.
+// context carried in the RPC's HTTP headers.
 //
 // Two contracts mirror the Observer design:
 //
@@ -30,11 +30,16 @@ import (
 
 // SpanContext is the cross-process half of a span: the trace it
 // belongs to and the span ID a remote continuation should use as its
-// parent. It travels in HTTP headers and in the hcp1 trace envelope.
+// parent. It travels in HTTP headers.
 type SpanContext struct {
 	TraceID string
 	SpanID  string
 }
+
+// MaxIDLen bounds the trace and span IDs a recorder accepts from
+// outside; real IDs are ~20 bytes. A longer inbound ID is not an
+// error: the request is served and the trace is not recorded.
+const MaxIDLen = 256
 
 // SpanAttr is one key-value annotation on a span. Values are strings
 // so the wire form and the JSON form stay trivial.
@@ -181,11 +186,12 @@ func (r *SpanRecorder) start(name, traceID, parentID string, root bool) *Span {
 
 // StartRoot opens the root span of a new trace, subject to sampling.
 // traceID is the caller's correlation ID (the request ID, or an
-// inbound X-Trace-Id); it must be non-empty. Returns nil — record
-// nothing, cost nothing — when the recorder is nil or the trace is
+// inbound X-Trace-Id); it must be non-empty and at most MaxIDLen
+// bytes. Returns nil — record nothing, cost nothing — when the
+// recorder is nil, the ID is empty or too long, or the trace is
 // sampled out.
 func (r *SpanRecorder) StartRoot(name, traceID string) *Span {
-	if r == nil || traceID == "" || !r.sampled() {
+	if r == nil || traceID == "" || len(traceID) > MaxIDLen || !r.sampled() {
 		return nil
 	}
 	return r.start(name, traceID, "", true)
@@ -194,9 +200,11 @@ func (r *SpanRecorder) StartRoot(name, traceID string) *Span {
 // Continue joins a trace started on another node: the incoming trace
 // context names the trace and the remote parent span. Sampling was
 // the root's call — an arriving context means the trace is recorded.
-// The continuation counts as a live request on this node too.
+// The continuation counts as a live request on this node too. A
+// context with no trace ID, or with an ID longer than MaxIDLen,
+// records nothing.
 func (r *SpanRecorder) Continue(name string, sc SpanContext) *Span {
-	if r == nil || sc.TraceID == "" {
+	if r == nil || sc.TraceID == "" || len(sc.TraceID) > MaxIDLen || len(sc.SpanID) > MaxIDLen {
 		return nil
 	}
 	return r.start(name, sc.TraceID, sc.SpanID, true)

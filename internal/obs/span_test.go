@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -85,6 +86,30 @@ func TestSpanContinueJoinsTrace(t *testing.T) {
 	}
 	if rpcNode == nil || len(rpcNode.Children) != 1 || rpcNode.Children[0].Node != "storage" {
 		t.Fatalf("storage continuation not under rpc span: %+v", roots[0])
+	}
+}
+
+// An inbound ID longer than MaxIDLen starts or continues no span; one
+// at the bound does.
+func TestSpanIDBound(t *testing.T) {
+	r := NewSpanRecorder(SpanRecorderConfig{Node: "n", Ring: 16})
+	ok, long := strings.Repeat("a", MaxIDLen), strings.Repeat("b", MaxIDLen+1)
+	if s := r.StartRoot("root", long); s != nil {
+		t.Error("StartRoot accepted a trace ID over MaxIDLen")
+	}
+	if s := r.Continue("cont", SpanContext{TraceID: long, SpanID: "s1"}); s != nil {
+		t.Error("Continue accepted a trace ID over MaxIDLen")
+	}
+	if s := r.Continue("cont", SpanContext{TraceID: "t1", SpanID: long}); s != nil {
+		t.Error("Continue accepted a parent span ID over MaxIDLen")
+	}
+	r.StartRoot("root", ok).End()
+	r.Continue("cont", SpanContext{TraceID: ok, SpanID: ok}).End()
+	if n := len(r.Trace(ok)); n != 2 {
+		t.Errorf("IDs at MaxIDLen recorded %d spans, want 2", n)
+	}
+	if n := r.TotalSpans(); n != 2 {
+		t.Errorf("recorded %d spans in all, want 2", n)
 	}
 }
 

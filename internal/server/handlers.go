@@ -88,8 +88,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("model %q not loaded", name))
 		return
 	}
-	ar := s.getArena()
-	defer s.putArena(ar)
+	ar := arenaPool.Get().(*scoreArena)
+	defer arenaPool.Put(ar)
 	// sp is nil when tracing is off; every span call below is then a
 	// nil-receiver no-op, keeping this path allocation-free.
 	sp := obs.SpanFrom(r.Context())

@@ -99,8 +99,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "enabling ingest: "+err.Error())
 		return
 	}
-	ar := s.getArena()
-	defer s.putArena(ar)
+	ar := arenaPool.Get().(*scoreArena)
+	defer arenaPool.Put(ar)
 	sp := obs.SpanFrom(r.Context())
 	sp.SetAttr("model", name)
 	t := s.cfg.Now()

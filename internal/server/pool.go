@@ -51,20 +51,6 @@ func newScoreArena() *scoreArena {
 // arenaPool is shared across servers: arenas hold no per-server state.
 var arenaPool = sync.Pool{New: func() any { return newScoreArena() }}
 
-func (s *Server) getArena() *scoreArena {
-	if s.cfg.DisablePooling {
-		return newScoreArena()
-	}
-	return arenaPool.Get().(*scoreArena)
-}
-
-func (s *Server) putArena(a *scoreArena) {
-	if s.cfg.DisablePooling {
-		return
-	}
-	arenaPool.Put(a)
-}
-
 // dst returns the arena's reusable dataset (nil for a nil arena, which
 // makes the decoders allocate fresh).
 func (ar *scoreArena) dst() *dataset.Dataset {

@@ -95,11 +95,6 @@ type Config struct {
 	// rows (a local -data window, or a cluster's shards). nil answers
 	// 404 on that endpoint.
 	TopNer TopNer
-	// DisablePooling turns off the request-scoped arena reuse on the
-	// scoring path: every request decodes, scores and encodes on fresh
-	// allocations. Test seam for the pooled-vs-unpooled differential
-	// suite; production deployments never set it.
-	DisablePooling bool
 	// Spans, when set, enables distributed request tracing: the
 	// middleware opens a root span per API request (honoring an inbound
 	// X-Trace-Id, else reusing the request ID as trace ID), handlers

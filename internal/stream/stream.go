@@ -311,22 +311,9 @@ func (s *Scorer) ScoreInto(record []float64, matches []int) Alert {
 	return a
 }
 
-// scratchPoolOff globally bypasses the monitors' scorer pools: every
-// batch then scores on freshly allocated scratch. It exists purely as
-// the unpooled reference for the differential test suite — production
-// never sets it.
-var scratchPoolOff atomic.Bool
-
-// DisableScratchPooling toggles the test-only pool bypass; see
-// scratchPoolOff.
-func DisableScratchPooling(off bool) { scratchPoolOff.Store(off) }
-
 // scorer hands out a pooled scorer bound to the given snapshot.
 func (m *Monitor) scorer(v view) *Scorer {
-	var s *Scorer
-	if !scratchPoolOff.Load() {
-		s, _ = m.scorers.Get().(*Scorer)
-	}
+	s, _ := m.scorers.Get().(*Scorer)
 	if s == nil {
 		s = &Scorer{}
 	}
@@ -337,9 +324,6 @@ func (m *Monitor) scorer(v view) *Scorer {
 // recycle returns a scorer to the pool, dropping its model reference
 // so the pool never pins a replaced model in memory.
 func (m *Monitor) recycle(s *Scorer) {
-	if scratchPoolOff.Load() {
-		return
-	}
 	s.v = view{}
 	m.scorers.Put(s)
 }
