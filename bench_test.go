@@ -159,10 +159,11 @@ func BenchmarkTable1_Musk_GenOptParallel(b *testing.B) {
 }
 
 // --- The fit path the bench gate pins: one stream.NewMonitor fit on
-// the Musk profile (d=160) at phi=9 with a fixed search seed, and the
-// equi-depth discretization it starts with. allocs/op is deterministic
-// per seed, so bench_baseline.json gates it sharply; so are the
-// search's evaluation and generation counts, which it gates exactly. ---
+// the Musk profile (d=160) at phi=9 with a fixed search seed, the
+// equi-depth discretization it starts with and the bitmap index built
+// over that grid. allocs/op is deterministic per seed, so
+// bench_baseline.json gates it sharply; so are the search's evaluation
+// and generation counts, which it gates exactly. ---
 
 // reportSearchCounts runs one more fit, observed, after the timed loop
 // and reports its final summary's Evaluations and Generations. Both
@@ -220,6 +221,18 @@ func BenchmarkDiscretize_Musk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		discretize.Fit(ds, 9, discretize.EquiDepth)
+	}
+}
+
+// BenchmarkBuild_Musk is the other half of a fit's grid: the bitmap
+// index built over one Musk equi-depth grid (φ 9), which is fitted once
+// before the timed loop.
+func BenchmarkBuild_Musk(b *testing.B) {
+	g := discretize.Fit(muskData(b), 9, discretize.EquiDepth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		grid.Build(g)
 	}
 }
 

@@ -61,20 +61,27 @@ type Baseline struct {
 //
 //	BenchmarkName/sub-8  1234  5678 ns/op  90 B/op  12 allocs/op  345 records/s
 //
-// — a name, an iteration count, then (value, unit) pairs. The
-// GOMAXPROCS suffix is stripped so results compare across machines.
+// — a name, an iteration count, then (value, unit) pairs. Every row is
+// kept under its own key (see rowKey), so a `-cpu 1,2,4` run or a log
+// of several packages loses no reading.
 func parseBenchOutput(r io.Reader) (map[string]Result, error) {
 	out := map[string]Result{}
+	firstPkg := map[string]string{}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
+		if p, ok := strings.CutPrefix(sc.Text(), "pkg: "); ok {
+			pkg = strings.TrimSpace(p)
+			continue
+		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		name := strings.TrimPrefix(fields[0], "Benchmark")
+		name, procs := strings.TrimPrefix(fields[0], "Benchmark"), 1
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], n
 			}
 		}
 		var res Result
@@ -98,7 +105,7 @@ func parseBenchOutput(r io.Reader) (map[string]Result, error) {
 				res.GenerationsPerOp = v
 			}
 		}
-		out[name] = res
+		out[rowKey(out, firstPkg, pkg, name, procs)] = res
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -107,6 +114,31 @@ func parseBenchOutput(r io.Reader) (map[string]Result, error) {
 		return nil, fmt.Errorf("benchgate: no benchmark lines found")
 	}
 	return out, nil
+}
+
+// rowKey names a row of benchmark name (GOMAXPROCS suffix stripped)
+// run at procs in package pkg. The first row of a name keeps the bare
+// name, so a single-GOMAXPROCS run matches the baseline on any
+// machine. A row of that name from another package is prefixed
+// "pkg:", and a later row whose key is taken, at another GOMAXPROCS,
+// gets the "-procs" suffix back; an exact repeat (-count) is numbered
+// "#2", "#3", and so on. firstPkg records each name's first package.
+func rowKey(out map[string]Result, firstPkg map[string]string, pkg, name string, procs int) string {
+	if first, ok := firstPkg[name]; !ok {
+		firstPkg[name] = pkg
+	} else if first != pkg {
+		name = pkg + ":" + name
+	}
+	key := name
+	if _, taken := out[key]; taken {
+		key = fmt.Sprintf("%s-%d", name, procs)
+	}
+	for n := 2; ; n++ {
+		if _, taken := out[key]; !taken {
+			return key
+		}
+		key = fmt.Sprintf("%s-%d#%d", name, procs, n)
+	}
 }
 
 const (

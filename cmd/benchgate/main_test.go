@@ -37,6 +37,60 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// TestParseBenchOutputKeepsEveryRow pins the keying of rows that share
+// a name: a -cpu 1,2 run keeps both readings, the first under the bare
+// name the baseline uses, a -count repeat is numbered, and a log of two
+// packages keeps the second package's row under a "pkg:" prefix.
+func TestParseBenchOutputKeepsEveryRow(t *testing.T) {
+	const cpuLog = `pkg: hido
+BenchmarkFit_Musk        	       3	  79447036 ns/op	    100061 evaluations/op	       195.0 generations/op	10544493 B/op	   28600 allocs/op
+BenchmarkFit_Musk-2      	       3	  49447036 ns/op	    100061 evaluations/op	       195.0 generations/op	10644493 B/op	   28614 allocs/op
+BenchmarkDiscretize_Musk 	      20	   7127416 ns/op	  130360 B/op	       8 allocs/op
+BenchmarkDiscretize_Musk-2	      20	   3469953 ns/op	  246510 B/op	      11 allocs/op
+BenchmarkDiscretize_Musk-2	      20	   3569953 ns/op	  246510 B/op	      12 allocs/op
+PASS
+`
+	res, err := parseBenchOutput(strings.NewReader(cpuLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"Fit_Musk": 28600, "Fit_Musk-2": 28614, "Discretize_Musk": 8, "Discretize_Musk-2": 11, "Discretize_Musk-2#2": 12}
+	if len(res) != len(want) {
+		t.Fatalf("parsed %d rows, want %d: %v", len(res), len(want), res)
+	}
+	for key, allocs := range want {
+		if got, ok := res[key]; !ok || got.AllocsPerOp != allocs {
+			t.Errorf("%s: %+v (present %v), want %v allocs/op", key, got, ok, allocs)
+		}
+	}
+
+	const pkgLog = `pkg: hido
+BenchmarkClusterFit-2   	       5	 200000000 ns/op	     72262 evaluations/op	       141.0 generations/op	 9000000 B/op	  275000 allocs/op
+ok  	hido	3.1s
+pkg: hido/internal/cluster
+BenchmarkClusterFit-2   	      10	 100000000 ns/op	 5000000 B/op	  120000 allocs/op
+ok  	hido/internal/cluster	2.2s
+`
+	res, err = parseBenchOutput(strings.NewReader(pkgLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 {
+		t.Fatalf("parsed %d rows, want 2: %v", len(res), res)
+	}
+	if root := res["ClusterFit"]; root.AllocsPerOp != 275000 || root.EvaluationsPerOp != 72262 {
+		t.Errorf("root ClusterFit parsed wrong: %+v", root)
+	}
+	if inner := res["hido/internal/cluster:ClusterFit"]; inner.AllocsPerOp != 120000 {
+		t.Errorf("internal/cluster ClusterFit parsed wrong: %+v", inner)
+	}
+	// The baseline keys the root row, and the gate reads that one.
+	base := map[string]Result{"ClusterFit": {AllocsPerOp: 278000, EvaluationsPerOp: 72262, GenerationsPerOp: 141}}
+	if bad := gate(base, res); len(bad) != 0 {
+		t.Fatalf("root row gated: %v", bad)
+	}
+}
+
 func TestGate(t *testing.T) {
 	base := map[string]Result{
 		"b1": {AllocsPerOp: 13, RecordsPerS: 100000},

@@ -70,6 +70,9 @@ func mixesZeros(col []float64) bool {
 	return neg && pos
 }
 
+// randomShapes names randomColumn's shapes, in its shape order.
+var randomShapes = []string{"smooth", "tie-heavy", "NaN-heavy", "inf-tails"}
+
 // randomColumn draws one column of the differential's four shapes.
 func randomColumn(r *xrand.RNG, n, shape int) []float64 {
 	col := make([]float64, n)
@@ -112,6 +115,9 @@ func TestEquiDepthSelectionMatchesSort(t *testing.T) {
 	if testing.Short() {
 		trials = 500
 	}
+	// One selector serves every trial, as one serves a worker's block
+	// of columns, so no trial may depend on what an earlier one left.
+	var s selector
 	for trial := 0; trial < trials; trial++ {
 		n := 1 + r.Intn(2000)
 		if trial%4 == 0 {
@@ -121,7 +127,8 @@ func TestEquiDepthSelectionMatchesSort(t *testing.T) {
 		shape := trial % 4
 		col := randomColumn(r, n, shape)
 		want := sortedEquiDepthCuts(col, phi)
-		got := equiDepthCuts(append([]float64(nil), col...), phi)
+		got := make([]float64, phi-1)
+		s.equiDepthCuts(got, append([]float64(nil), col...))
 		if !sameCuts(got, want, mixesZeros(col)) {
 			t.Fatalf("trial %d (n=%d phi=%d shape %d): selection cuts %v, sorted cuts %v",
 				trial, n, phi, shape, got, want)
@@ -134,29 +141,71 @@ func TestEquiDepthSelectionMatchesSort(t *testing.T) {
 	}
 }
 
-func TestEquiDepthSelectionAdversarial(t *testing.T) {
-	// Sorted, reversed, organ-pipe and constant columns are the classic
-	// quickselect worst cases; the depth limit must keep them exact.
-	const n = 5000
-	shapes := map[string]func(i int) float64{
-		"ascending":  func(i int) float64 { return float64(i) },
-		"descending": func(i int) float64 { return float64(n - i) },
-		"organ-pipe": func(i int) float64 { return float64(min(i, n-i)) },
-		"constant":   func(int) float64 { return 7 },
-		"sawtooth":   func(i int) float64 { return float64(i % 17) },
+// adversarialShapes are the classic quickselect worst cases: sorted,
+// reversed, organ-pipe and constant columns, and a sawtooth of heavy
+// ties, as the value at index i of an n-value column.
+var adversarialShapes = []struct {
+	name string
+	f    func(i, n int) float64
+}{
+	{"ascending", func(i, n int) float64 { return float64(i) }},
+	{"descending", func(i, n int) float64 { return float64(n - i) }},
+	{"organ-pipe", func(i, n int) float64 { return float64(min(i, n-i)) }},
+	{"constant", func(int, int) float64 { return 7 }},
+	{"sawtooth", func(i, n int) float64 { return float64(i % 17) }},
+}
+
+func adversarialColumn(f func(i, n int) float64, n int) []float64 {
+	col := make([]float64, n)
+	for i := range col {
+		col[i] = f(i, n)
 	}
-	for name, f := range shapes {
-		col := make([]float64, n)
-		for i := range col {
-			col[i] = f(i)
-		}
+	return col
+}
+
+func TestEquiDepthSelectionAdversarial(t *testing.T) {
+	// The classic quickselect worst cases must stay exact, on the
+	// bucketed path and in quickselect's depth limit alike.
+	const n = 5000
+	for _, sh := range adversarialShapes {
+		col := adversarialColumn(sh.f, n)
 		for _, phi := range []int{2, 9, 64} {
 			want := sortedEquiDepthCuts(col, phi)
-			got := equiDepthCuts(append([]float64(nil), col...), phi)
+			got := make([]float64, phi-1)
+			new(selector).equiDepthCuts(got, append([]float64(nil), col...))
 			if !sameCuts(got, want, false) {
-				t.Fatalf("%s phi=%d: selection cuts %v, sorted cuts %v", name, phi, got, want)
+				t.Fatalf("%s phi=%d: selection cuts %v, sorted cuts %v", sh.name, phi, got, want)
 			}
 		}
+	}
+}
+
+// BenchmarkEquiDepthCuts places one column's cuts at the Musk
+// profile's n and φ for each shape the differentials cover: the four
+// random shapes and the five adversarial ones. Each iteration restores
+// the column first, because the placement clobbers it.
+func BenchmarkEquiDepthCuts(b *testing.B) {
+	const n, phi = 6598, 9
+	r := xrand.New(14)
+	for shape, name := range randomShapes {
+		col := randomColumn(r, n, shape)
+		b.Run(name, func(b *testing.B) { benchCuts(b, col, phi) })
+	}
+	for _, sh := range adversarialShapes {
+		col := adversarialColumn(sh.f, n)
+		b.Run(sh.name, func(b *testing.B) { benchCuts(b, col, phi) })
+	}
+}
+
+func benchCuts(b *testing.B, col []float64, phi int) {
+	var s selector
+	work := make([]float64, len(col))
+	cuts := make([]float64, phi-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, col)
+		s.equiDepthCuts(cuts, work)
 	}
 }
 

@@ -17,8 +17,6 @@ package discretize
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"slices"
 
 	"hido/internal/dataset"
 	"hido/internal/fanout"
@@ -65,8 +63,9 @@ type Grid struct {
 // Fit places phi ranges per dimension over the dataset and binds the
 // grid to it. phi must be at least 2 and fit in uint16. Columns are
 // independent, so their cuts are placed on a pool of GOMAXPROCS
-// workers, each with one column buffer reused across its block of
-// dimensions; the grid is identical at every pool size.
+// workers, each with one column buffer and one set of selection
+// scratch reused across its block of dimensions, writing into one flat
+// cut table; the grid is identical at every pool size.
 func Fit(ds *dataset.Dataset, phi int, method Method) *Grid {
 	if phi < 2 || phi > math.MaxUint16 {
 		panic(fmt.Sprintf("discretize: phi=%d out of range [2,%d]", phi, math.MaxUint16))
@@ -85,98 +84,27 @@ func Fit(ds *dataset.Dataset, phi int, method Method) *Grid {
 	if method != EquiDepth && method != EquiWidth {
 		panic("discretize: unknown method")
 	}
+	flat := make([]float64, g.D*(phi-1))
+	for j := range g.cuts {
+		g.cuts[j] = flat[j*(phi-1) : (j+1)*(phi-1) : (j+1)*(phi-1)]
+	}
 	fanout.Blocks(g.D, fanout.Workers(-1), func(lo, hi int) {
-		col := make([]float64, 0, g.N)
+		// The column and the selection's copy buffer share one
+		// allocation.
+		var s selector
+		scratch := make([]float64, 2*g.N)
+		col := scratch[:0:g.N]
+		s.buf = scratch[g.N:]
 		for j := lo; j < hi; j++ {
 			col = ds.AppendColumn(col[:0], j)
 			if method == EquiDepth {
-				g.cuts[j] = equiDepthCuts(col, phi)
+				s.equiDepthCuts(g.cuts[j], col)
 			} else {
-				g.cuts[j] = equiWidthCuts(col, phi)
+				equiWidthCuts(g.cuts[j], col)
 			}
 		}
 	})
 	return g
-}
-
-// equiDepthCuts places boundaries at the q = r/phi quantiles of the
-// non-missing values. Ties in the data can make some ranges larger
-// than N/phi and others empty; this mirrors how equi-depth histograms
-// behave on discrete-valued attributes. It reorders col: the
-// non-missing values are moved to its front and partially sorted
-// there.
-func equiDepthCuts(col []float64, phi int) []float64 {
-	clean := col[:0]
-	for _, v := range col {
-		if !math.IsNaN(v) {
-			clean = append(clean, v)
-		}
-	}
-	cuts := make([]float64, phi-1)
-	n := len(clean)
-	if n == 0 {
-		// All missing: boundaries are irrelevant; every cell is 0.
-		for i := range cuts {
-			cuts[i] = math.Inf(1)
-		}
-		return finiteCuts(cuts)
-	}
-	// Boundary r sits at the ceil(r·n/phi)-th order statistic, so each
-	// of the phi ranges receives floor-or-ceil of n/phi records. The
-	// ranks are non-decreasing in r, so one multi-selection places them
-	// all without sorting the column.
-	ranks := make([]int, phi-1)
-	for r := 1; r < phi; r++ {
-		idx := (r*n + phi - 1) / phi // ceil(r·n/phi)
-		ranks[r-1] = min(max(idx, 1), n) - 1
-	}
-	selectRanks(clean, 0, ranks, 2*bits.Len(uint(n)))
-	for i, k := range ranks {
-		cuts[i] = clean[k]
-	}
-	return finiteCuts(cuts)
-}
-
-// selectRanks reorders xs, a window of a NaN-free column starting at
-// rank off, so that the value a full sort would put at each rank in
-// ks (ascending, duplicates allowed) lands there: quickselect with a
-// three-way partition that descends only into the sides still holding
-// a wanted rank. Past depth partitions it sorts the window, which
-// bounds the worst case at O(n log n).
-func selectRanks(xs []float64, off int, ks []int, depth int) {
-	for len(ks) > 0 {
-		if len(xs) <= 16 || depth == 0 {
-			slices.Sort(xs)
-			return
-		}
-		depth--
-		lt, gt := partition3(xs, medianOf3(xs[0], xs[len(xs)/2], xs[len(xs)-1]))
-		// xs[:lt] < pivot ≤ xs[lt:gt] ≤ pivot < xs[gt:]: the ranks in the
-		// middle band already hold their values.
-		i, _ := slices.BinarySearch(ks, off+lt)
-		j, _ := slices.BinarySearch(ks, off+gt)
-		selectRanks(xs[:lt], off, ks[:i], depth)
-		xs, off, ks = xs[gt:], off+gt, ks[j:]
-	}
-}
-
-// partition3 reorders xs around p into values below, equal to and
-// above it, returning the bounds of the equal band. Each pass is a
-// branch-free Lomuto sweep: every element is swapped into place and
-// the boundary advances by the comparison's outcome, so shuffled data
-// costs no branch mispredictions.
-func partition3(xs []float64, p float64) (lt, gt int) {
-	for i, v := range xs {
-		xs[i], xs[lt] = xs[lt], v
-		lt += b2i(v < p)
-	}
-	gt = lt
-	for i := lt; i < len(xs); i++ {
-		v := xs[i]
-		xs[i], xs[gt] = xs[gt], v
-		gt += b2i(v <= p)
-	}
-	return lt, gt
 }
 
 func b2i(b bool) int {
@@ -184,13 +112,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-func medianOf3(a, b, c float64) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	return max(a, min(b, c))
 }
 
 // finiteCuts clamps cuts into [-MaxFloat64, MaxFloat64] in place and
@@ -205,8 +126,9 @@ func finiteCuts(cuts []float64) []float64 {
 	return cuts
 }
 
-// equiWidthCuts splits [min, max] into phi equal-width intervals.
-func equiWidthCuts(col []float64, phi int) []float64 {
+// equiWidthCuts writes into cuts the len(cuts) = phi−1 boundaries
+// that split [min, max] into phi equal-width intervals.
+func equiWidthCuts(cuts, col []float64) {
 	min, max := math.Inf(1), math.Inf(-1)
 	for _, v := range col {
 		if math.IsNaN(v) {
@@ -219,19 +141,18 @@ func equiWidthCuts(col []float64, phi int) []float64 {
 			max = v
 		}
 	}
-	cuts := make([]float64, phi-1)
 	if math.IsInf(min, 1) || min == max {
 		// All missing or constant: single effective range.
 		for i := range cuts {
 			cuts[i] = math.Inf(1)
 		}
-		return cuts
+		return
 	}
+	phi := len(cuts) + 1
 	w := (max - min) / float64(phi)
 	for r := 1; r < phi; r++ {
 		cuts[r-1] = min + w*float64(r)
 	}
-	return cuts
 }
 
 // Apply binds a dataset to externally fitted cut points. This is the

@@ -94,3 +94,74 @@ func FuzzEquiDepth(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEquiDepthMatchesSort holds the selection to the full-sort oracle
+// on a fuzzed column and φ: the cuts must equal sortedEquiDepthCuts bit
+// for bit, or by value where the column mixes −0 and +0.
+//
+// A window reaches the bucketed path only past selectLeaf values, and
+// the fuzzing engine stalls on inputs that long, so an input is
+// compact: φ, a column length n, a base value and a few values placed
+// as they are. The column is those values, then the base value stepped
+// 0, 1, 2, … units in the last place toward zero until it holds n
+// values: a tightly clustered bulk, or a run of equal values where the
+// base is zero, infinite or NaN.
+func FuzzEquiDepthMatchesSort(f *testing.F) {
+	seed := func(phi, n uint16, base float64, vals ...float64) []byte {
+		b := binary.LittleEndian.AppendUint16(nil, phi)
+		b = binary.LittleEndian.AppendUint16(b, n)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(base))
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	// ±0 ties: a run of +0 with −0 among the values placed.
+	f.Add(seed(9, 600, 0, negZero, negZero, 1, -1, negZero, 2))
+	// ±Inf tails next to ±MaxFloat64: a run of +Inf, and −Inf among
+	// the values placed.
+	tails := []float64{math.MaxFloat64, -math.MaxFloat64, 0.5, -0.25, 3}
+	for range 30 {
+		tails = append(tails, math.Inf(-1))
+	}
+	f.Add(seed(9, 90, math.Inf(1), tails...))
+	// Subnormals, so narrow a span that bucketing must give way.
+	f.Add(seed(7, 400, math.Float64frombits(300), math.Float64frombits(1), 0))
+	// All missing.
+	f.Add(seed(3, 20, math.NaN()))
+	// φ above n.
+	f.Add(seed(40, 5, 3, 1, 2, 1, 5))
+	// One huge outlier among tightly clustered values: the rest share
+	// the first bucket, which must be bucketed again.
+	f.Add(seed(9, 700, 1, 1e300))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 12 {
+			return
+		}
+		phi := 2 + int(binary.LittleEndian.Uint16(data))%(math.MaxUint16-1)
+		n := int(binary.LittleEndian.Uint16(data[2:])) % 4096
+		base := binary.LittleEndian.Uint64(data[4:])
+		var col []float64
+		for data = data[12:]; len(data) >= 8; data = data[8:] {
+			col = append(col, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		for step := uint64(0); len(col) < n; step++ {
+			v := base
+			if mag := base &^ (1 << 63); mag < infBits {
+				v -= min(step, mag)
+			}
+			col = append(col, math.Float64frombits(v))
+		}
+		if len(col) == 0 {
+			return
+		}
+		want := sortedEquiDepthCuts(col, phi)
+		got := make([]float64, phi-1)
+		new(selector).equiDepthCuts(got, append([]float64(nil), col...))
+		if !sameCuts(got, want, mixesZeros(col)) {
+			t.Fatalf("phi=%d n=%d: selection cuts %v, sorted cuts %v", phi, len(col), got, want)
+		}
+	})
+}

@@ -40,16 +40,18 @@ func sweepDS(n, d int, seed uint64) *dataset.Dataset {
 }
 
 // serialCuts is the reference cut placement: one column at a time, in
-// dimension order, through one buffer, on the calling goroutine.
+// dimension order, through one buffer, on the calling goroutine, with
+// fresh selection scratch for every column.
 func serialCuts(ds *dataset.Dataset, phi int, method Method) [][]float64 {
 	cuts := make([][]float64, ds.D())
 	var col []float64
 	for j := range cuts {
 		col = ds.AppendColumn(col[:0], j)
+		cuts[j] = make([]float64, phi-1)
 		if method == EquiDepth {
-			cuts[j] = equiDepthCuts(col, phi)
+			new(selector).equiDepthCuts(cuts[j], col)
 		} else {
-			cuts[j] = equiWidthCuts(col, phi)
+			equiWidthCuts(cuts[j], col)
 		}
 	}
 	return cuts
