@@ -193,6 +193,9 @@ func run(cfg config) error {
 	phi, k, s, m := cfg.phi, cfg.k, cfg.s, cfg.m
 	algo, crossover, seed := cfg.algo, cfg.crossover, cfg.seed
 	top, explain, equiwidth, budget := cfg.top, cfg.explain, cfg.equiwidth, cfg.budget
+	if err := discretize.CheckPhi(phi); err != nil {
+		return fmt.Errorf("-phi: %w", err)
+	}
 
 	ds, err := dataset.ReadCSVFile(in, dataset.ReadCSVOptions{
 		Header: header, LabelColumn: labelCol,

@@ -81,6 +81,9 @@ func TestRunErrors(t *testing.T) {
 		"bad crossover": func(c *config) { c.crossover = "nope" },
 		"bad baseline":  func(c *config) { c.baseline = "nope" },
 		"missing file":  func(c *config) { c.in = filepath.Join(t.TempDir(), "absent.csv") },
+		// Out-of-range φ is an error, not a panic in the discretizer.
+		"phi 1":     func(c *config) { c.phi = 1 },
+		"phi 65536": func(c *config) { c.phi = 65536 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := baseConfig(path)

@@ -36,7 +36,8 @@
 //
 // The select node adds POST /api/v1/cluster/fit (distributed fit over
 // the union of the shards — bit-identical to a single-node fit on the
-// concatenated data) and GET /api/v1/cluster/info.
+// concatenated data; a route of internal/server, with /api/v1/fit's
+// parameters) and GET /api/v1/cluster/info.
 package main
 
 import (
@@ -52,7 +53,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -425,14 +425,16 @@ func run(addr, pprofAddr, stateDir string, models modelFlags, copts clusterOpts,
 		if err != nil {
 			return err
 		}
-		// The stock server fronts the cluster through its two seams, so
-		// the public API bytes cannot drift from single-node.
+		// The stock server fronts the cluster through its seams, so the
+		// public API bytes cannot drift from single-node, and the
+		// distributed fit runs behind the same middleware as every
+		// other route.
 		s.SetBatchScorer(co)
 		s.SetTopNer(co)
 		s.SetTraceFetcher(co)
+		s.SetFitter(co)
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)
-		mux.HandleFunc("POST /api/v1/cluster/fit", handleClusterFit(s, co, st, logger))
 		mux.HandleFunc("GET /api/v1/cluster/info", handleClusterInfo(co))
 		handler = mux
 	default:
@@ -495,80 +497,6 @@ func run(addr, pprofAddr, stateDir string, models modelFlags, copts clusterOpts,
 	}
 	logger.Info("shutdown complete")
 	return nil
-}
-
-// handleClusterFit runs a distributed fit over the union of the
-// shards and installs (and, with -state-dir, persists) the resulting
-// model under ?model=. Parameters mirror POST /api/v1/fit; the fit is
-// synchronous because its heavy half runs on the shards.
-func handleClusterFit(s *server.Server, co *cluster.Coordinator, st *store.Store, logger *slog.Logger) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		opt := cluster.FitOptions{Phi: 5, TargetS: -3, M: 100, Restarts: 3, Seed: 1}
-		bad := func(what, v string) {
-			http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad "+what+": "+v), http.StatusBadRequest)
-		}
-		var err error
-		if v := q.Get("phi"); v != "" {
-			if opt.Phi, err = strconv.Atoi(v); err != nil {
-				bad("phi", v)
-				return
-			}
-		}
-		if v := q.Get("s"); v != "" {
-			if opt.TargetS, err = strconv.ParseFloat(v, 64); err != nil {
-				bad("s", v)
-				return
-			}
-		}
-		if v := q.Get("m"); v != "" {
-			if opt.M, err = strconv.Atoi(v); err != nil {
-				bad("m", v)
-				return
-			}
-		}
-		if v := q.Get("restarts"); v != "" {
-			if opt.Restarts, err = strconv.Atoi(v); err != nil {
-				bad("restarts", v)
-				return
-			}
-		}
-		if v := q.Get("seed"); v != "" {
-			if opt.Seed, err = strconv.ParseUint(v, 10, 64); err != nil {
-				bad("seed", v)
-				return
-			}
-		}
-		name := q.Get("model")
-		if name == "" {
-			name = "default"
-		}
-		mon, _, err := co.Fit(r.Context(), opt)
-		if err != nil {
-			http.Error(w, fmt.Sprintf(`{"error":%q}`, "cluster fit failed: "+err.Error()),
-				http.StatusBadGateway)
-			return
-		}
-		now := time.Now()
-		if err := s.Registry().Set(name, server.Entry{
-			Monitor: mon, FittedAt: now, Source: "cluster-fit",
-		}); err != nil {
-			http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
-			return
-		}
-		if st != nil {
-			if err := st.Save(name, mon, now, "cluster-fit"); err != nil {
-				logger.Warn("persisting cluster-fit model failed", "model", name, "error", err)
-			}
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		json.NewEncoder(w).Encode(map[string]any{
-			"model":       name,
-			"phi":         opt.Phi,
-			"k":           mon.K(),
-			"projections": len(mon.Projections()),
-		})
-	}
 }
 
 // handleClusterInfo reports the connected topology: peers, their row

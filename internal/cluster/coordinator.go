@@ -3,12 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"sync"
 
-	"hido/internal/core"
 	"hido/internal/dataset"
 	"hido/internal/discretize"
 	"hido/internal/fanout"
@@ -490,59 +488,29 @@ func (co *Coordinator) FetchTrace(ctx context.Context, traceID string) ([]obs.Sp
 	return out, firstErr
 }
 
-// FitOptions mirror the single-node fit parameters
-// (stream.Options): same defaults, same advisor, same searches — the
-// point of the distributed fit is that only the counting moves.
-type FitOptions struct {
-	// Phi is the grid resolution (required, >= 2).
-	Phi int
-	// TargetS is the §2.4 advisor target and retention threshold
-	// (default -3).
-	TargetS float64
-	// M is how many best projections each run tracks (default 100).
-	M int
-	// Restarts unions this many evolutionary runs (default 3).
-	Restarts int
-	// Seed drives the searches.
-	Seed uint64
-	// Observer receives the searches' generation events (see
-	// internal/obs); never changes the fitted model.
-	Observer obs.Observer
-}
-
-func (o FitOptions) withDefaults() FitOptions {
-	if o.TargetS == 0 {
-		o.TargetS = -3
-	}
-	if o.M == 0 {
-		o.M = 100
-	}
-	if o.Restarts == 0 {
-		o.Restarts = 3
-	}
-	return o
-}
+// FitOptions are the single-node fit's options: the distributed fit
+// runs the same fit body (stream.NewMonitorOver), so only the counting
+// moves.
+type FitOptions = stream.Options
 
 // Fit mines a model over the union of the shards without ever
 // assembling their data on one node for the search: global equi-depth
 // cuts are placed exactly (a transient row gather — quantiles need a
 // global view — skipped when the last fit's cuts still apply), each
-// shard builds its bitmap index under those cuts, and the evolutionary
-// search runs on the select node against a CountSource whose every
-// cube count is the sum of per-shard counts.
-// Because the searches are a pure function of those counts, the
-// fitted model is bit-identical to a single-node fit on the
-// concatenated data — same projections, same model JSON.
+// shard builds its bitmap index under those cuts, and stream's fit
+// body runs on the select node against a Source whose every cube count
+// is the sum of per-shard counts. Because the fit is a pure function
+// of those counts, the model is bit-identical to a single-node fit on
+// the concatenated data; the JSON it returns is the monitor's own Save.
+// A Source is a core.BatchSource, so the restarts run one after
+// another and the RPCs of a fit are a pure function of the seed.
 //
 // Fit requires every shard: a missing shard makes the counts wrong,
-// not just incomplete, so the fit fails instead of degrading.
+// not just incomplete, so the fit fails instead of degrading. Options
+// that stream.Options.Validate rejects fail before any RPC.
 func (co *Coordinator) Fit(ctx context.Context, opt FitOptions) (*stream.Monitor, []byte, error) {
-	opt = opt.withDefaults()
-	if opt.Phi < 2 {
-		return nil, nil, fmt.Errorf("cluster: phi=%d must be at least 2", opt.Phi)
-	}
-	if opt.TargetS >= 0 {
-		return nil, nil, fmt.Errorf("cluster: target sparsity %v must be negative", opt.TargetS)
+	if err := opt.Validate(); err != nil {
+		return nil, nil, err
 	}
 	shards, totalN, names, err := co.topology(ctx)
 	if err != nil {
@@ -551,7 +519,6 @@ func (co *Coordinator) Fit(ctx context.Context, opt FitOptions) (*stream.Monitor
 	if totalN == 0 {
 		return nil, nil, fmt.Errorf("cluster: shards hold no rows")
 	}
-
 	cuts, err := co.globalCuts(ctx, opt.Phi, shards, names)
 	if err != nil {
 		return nil, nil, err
@@ -562,43 +529,19 @@ func (co *Coordinator) Fit(ctx context.Context, opt FitOptions) (*stream.Monitor
 	}
 
 	src := co.newSource(ctx, gid, totalN, len(names), opt.Phi)
-	advice := core.Advise(totalN, opt.Phi, opt.TargetS)
-	res, err := core.EvolutionaryRestartsOver(src, core.EvoOptions{
-		K: advice.K, M: opt.M, Seed: opt.Seed, MinCoverage: -1,
-		Observer: opt.Observer, RunID: "fit",
-	}, opt.Restarts)
+	mon, err := stream.NewMonitorOver(src, cuts, names, opt)
+	if serr := src.Err(); serr != nil {
+		return nil, nil, fmt.Errorf("cluster: distributed count failed: %w", serr)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	res = res.FilterProjectionsOver(src, opt.TargetS)
-	if err := src.Err(); err != nil {
-		return nil, nil, fmt.Errorf("cluster: distributed count failed: %w", err)
-	}
-
-	model := stream.Model{
-		Version: 1,
-		Phi:     opt.Phi,
-		K:       advice.K,
-		Options: stream.Options{Phi: opt.Phi, TargetS: opt.TargetS, M: opt.M,
-			Restarts: opt.Restarts, Seed: opt.Seed},
-		Names: append([]string(nil), names...),
-		Cuts:  cuts,
-	}
-	for _, p := range res.Projections {
-		model.Projections = append(model.Projections, stream.ModelProjection{
-			Cube: p.Cube, Sparsity: p.Sparsity, Count: p.Count,
-		})
-	}
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(model); err != nil {
-		return nil, nil, fmt.Errorf("cluster: encoding fitted model: %w", err)
-	}
-	mon, err := stream.Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: reloading fitted model: %w", err)
+	if err := mon.Save(&buf); err != nil {
+		return nil, nil, err
 	}
 	hits, misses, size := src.Stats()
-	co.logger.Info("cluster fit done", "rows", totalN, "k", advice.K,
+	co.logger.Info("cluster fit done", "rows", totalN, "k", mon.K(),
 		"projections", len(mon.Projections()),
 		"count_cache_hits", hits, "count_cache_misses", misses, "distinct_cubes", size)
 	return mon, buf.Bytes(), nil

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"hido/internal/cube"
+	"hido/internal/discretize"
 	"hido/internal/obs"
 )
 
@@ -337,8 +338,10 @@ func (m *gridReq) decode(p []byte) error {
 	m.GridID = d.str(maxWireString)
 	m.DataFP = d.str(maxWireString)
 	m.Phi = int(d.u32())
-	if d.fail == "" && (m.Phi < 2 || m.Phi > math.MaxUint16) {
-		d.bad("phi %d outside [2,%d]", m.Phi, math.MaxUint16)
+	if d.fail == "" {
+		if err := discretize.CheckPhi(m.Phi); err != nil {
+			d.bad("%v", err)
+		}
 	}
 	nd := d.dims()
 	if d.fail == "" {

@@ -187,7 +187,7 @@ const (
 // ErrBudgetExceeded; which subtrees completed then depends on
 // scheduling, but the MaxCandidates accounting stays exact.
 func (d *Detector) BruteForce(opt BruteForceOptions) (*Result, error) {
-	return BruteForceOver(d.source(), opt)
+	return BruteForceOver(d.Source(), opt)
 }
 
 // BruteForceOver runs the same enumeration against an arbitrary

@@ -114,8 +114,10 @@ func coverAll(src CountSource, cs []cube.Cube) [][]int {
 // index, counted directly.
 type detectorSource struct{ d *Detector }
 
-// source wraps the detector as a CountSource.
-func (d *Detector) source() detectorSource { return detectorSource{d} }
+// Source returns the detector's bitmap index as a CountSource: the
+// source every Detector search method runs over, and the one stream
+// fits a single search over.
+func (d *Detector) Source() CountSource { return detectorSource{d} }
 
 func (s detectorSource) N() int   { return s.d.N() }
 func (s detectorSource) D() int   { return s.d.D() }

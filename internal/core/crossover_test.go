@@ -323,7 +323,7 @@ func TestCrossoverMatchesReference(t *testing.T) {
 			opt := tc.opt
 			opt.M = 5
 			s := newTestSearch(det, opt)
-			ref := &refXover{src: det.source(), opt: s.opt}
+			ref := &refXover{src: det.Source(), opt: s.opt}
 			gen := xrand.New(77)
 			maxDiff := 0
 			for trial := 0; trial < 200; trial++ {
@@ -374,8 +374,8 @@ func TestCrossoverAllRounds(t *testing.T) {
 				if mode == "workers=4" {
 					opt.Workers = 4
 				}
-				s := newSearch(det.source(), opt.withDefaults())
-				rs := &roundSource{detectorSource: det.source()}
+				s := newSearch(det.Source(), opt.withDefaults())
+				rs := &roundSource{detectorSource: detectorSource{det}}
 				if mode == "batched" {
 					s.src = rs
 				}
@@ -389,7 +389,7 @@ func TestCrossoverAllRounds(t *testing.T) {
 					}
 					want := make([]evo.Genome, len(pop.Members))
 					master := xrand.FromState(s.rng.State())
-					ref := &refXover{src: det.source(), opt: s.opt}
+					ref := &refXover{src: det.Source(), opt: s.opt}
 					pairs := pop.Pairs(master)
 					seeds := make([]uint64, len(pairs))
 					for i := range seeds {
@@ -442,7 +442,7 @@ func TestBatchSourceSearchMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := &roundSource{detectorSource: det.source()}
+	rs := &roundSource{detectorSource: detectorSource{det}}
 	got, err := EvolutionaryRestartsOver(rs, opt, 2)
 	if err != nil {
 		t.Fatal(err)

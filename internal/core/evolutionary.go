@@ -214,7 +214,7 @@ func validateEvoOptions(src CountSource, opt EvoOptions) error {
 // the population is scored and recombined by a worker pool; results
 // are identical to the serial run.
 func (d *Detector) Evolutionary(opt EvoOptions) (*Result, error) {
-	return EvolutionaryOver(d.source(), opt)
+	return EvolutionaryOver(d.Source(), opt)
 }
 
 // EvolutionaryOver runs the same search against an arbitrary

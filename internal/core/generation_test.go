@@ -13,7 +13,7 @@ func TestSelectMutateAllocFree(t *testing.T) {
 	det := NewDetector(plantedDataset(300, 12, 7), 5)
 	for _, strategy := range []evo.Selection{evo.RankRoulette, evo.Tournament, evo.Uniform} {
 		opt := EvoOptions{K: 3, M: 10, Seed: 11, Selection: strategy}.withDefaults()
-		s := newSearch(det.source(), opt)
+		s := newSearch(det.Source(), opt)
 		pop := evo.NewPopulation(opt.PopSize, det.D())
 		s.randomPopulation(pop)
 		s.evaluateAll(pop)
@@ -41,7 +41,7 @@ func TestMigrateThenSelectOwnsBuffers(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		o := opt
 		o.Seed = uint64(i + 1)
-		s := newSearch(det.source(), o)
+		s := newSearch(det.Source(), o)
 		pop := evo.NewPopulation(o.PopSize, det.D())
 		s.randomPopulation(pop)
 		s.evaluateAll(pop)

@@ -61,7 +61,7 @@ func (d *Detector) EvolutionaryIslands(opt IslandOptions) (*Result, error) {
 	if opt.Islands < 1 || opt.MigrateEvery < 1 || opt.Migrants < 0 {
 		return nil, fmt.Errorf("core: invalid island parameters %+v", opt)
 	}
-	src := d.source()
+	src := d.Source()
 	eo := opt.Evo
 	if err := validateEvoOptions(src, eo); err != nil {
 		return nil, err

@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"hido/internal/cube"
 	"hido/internal/dataset"
+	"hido/internal/discretize"
 	"hido/internal/synth"
 	"hido/internal/xrand"
 )
@@ -22,8 +24,16 @@ import (
 //     increasing map of its attribute that keeps the values distinct
 //     (§1.3), so every cell, count, sparsity and search is unchanged
 //     (TestMetamorphicMonotoneMap).
+//   - Under fixed cuts, every record twice doubles every count n(D)
+//     and N, so Eq. 1 scales every S(D) by exactly √2: at one k the
+//     ranking of cubes is the same, and so is every search
+//     (TestMetamorphicRowDuplication).
+//   - Nothing in Eq. 1 or Figure 2 depends on the order of the
+//     attributes, so permuting the columns permutes the brute-force
+//     projections wherever their sparsities do not tie
+//     (TestMetamorphicDimensionOrder).
 //
-// Both run over random Table 1 profiles, data seeds and search seeds.
+// All run over random Table 1 profiles, data seeds and search seeds.
 
 // metamorphicProfiles are the Table 1 shapes small enough for a
 // brute-force search in a unit test.
@@ -186,5 +196,141 @@ func TestMetamorphicMonotoneMap(t *testing.T) {
 				t.Fatalf("%s: outliers %v, mapped %v", label, c.a.Outliers, c.b.Outliers)
 			}
 		}
+	}
+}
+
+// ulpsApart is how many float64 steps separate a and b.
+func ulpsApart(a, b float64) float64 {
+	step := math.Nextafter(math.Abs(a), math.Inf(1)) - math.Abs(a)
+	return math.Abs(a-b) / step
+}
+
+func TestMetamorphicRowDuplication(t *testing.T) {
+	r := xrand.New(33)
+	for trial := 0; trial < 6; trial++ {
+		ds, p, label := metamorphicData(t, r)
+		n := ds.N()
+		twice := make([]int, 2*n)
+		for i := range twice {
+			twice[i] = i % n
+		}
+		det := NewDetector(ds, p.Phi)
+		doubled := ds.SelectRows(twice)
+		ddet := NewDetectorFromGrid(doubled, discretize.Apply(doubled, p.Phi, det.Grid.AllCuts()))
+		for j := 0; j < det.D(); j++ {
+			for rg := uint16(1); int(rg) <= p.Phi; rg++ {
+				c := cube.New(det.D()).With(j, rg)
+				if got, want := ddet.Index.Count(c), 2*det.Index.Count(c); got != want {
+					t.Fatalf("%s: range %d of dim %d holds %d doubled records, want %d", label, rg, j, got, want)
+				}
+			}
+		}
+
+		seed := uint64(1 + r.Intn(1000))
+		brute, evo := metamorphicSearches(t, det, p.K, seed)
+		dbrute, devo := metamorphicSearches(t, ddet, p.K, seed)
+		for _, c := range []struct {
+			name string
+			a, b *Result
+		}{{"brute force", brute, dbrute}, {"evolutionary", evo, devo}} {
+			label := fmt.Sprintf("%s, %s seed %d", label, c.name, seed)
+			if len(c.a.Projections) != len(c.b.Projections) || c.a.Evaluations != c.b.Evaluations {
+				t.Fatalf("%s: %d projections in %d evaluations, doubled %d in %d", label,
+					len(c.a.Projections), c.a.Evaluations, len(c.b.Projections), c.b.Evaluations)
+			}
+			for i, pa := range c.a.Projections {
+				pb := c.b.Projections[i]
+				if !pa.Cube.Equal(pb.Cube) || pb.Count != 2*pa.Count || ddet.Index.Count(pb.Cube) != pb.Count {
+					t.Fatalf("%s: projection %d is %v, doubled %v", label, i, pa, pb)
+				}
+				if u := ulpsApart(pb.Sparsity, math.Sqrt2*pa.Sparsity); u > 4 {
+					t.Fatalf("%s: projection %d has S %v, doubled %v, %.0f ulps from √2·S",
+						label, i, pa.Sparsity, pb.Sparsity, u)
+				}
+			}
+			var outliers []int
+			for _, i := range c.a.Outliers {
+				outliers = append(outliers, i)
+			}
+			for _, i := range c.a.Outliers {
+				outliers = append(outliers, i+n)
+			}
+			if !slices.Equal(outliers, c.b.Outliers) {
+				t.Fatalf("%s: outliers %v, doubled %v", label, c.a.Outliers, c.b.Outliers)
+			}
+		}
+	}
+}
+
+func TestMetamorphicDimensionOrder(t *testing.T) {
+	r := xrand.New(34)
+	untied := 0
+	for trial := 0; trial < 6; trial++ {
+		ds, p, label := metamorphicData(t, r)
+		// Column k of the permuted data is column perm[k] of the
+		// original.
+		perm := r.Perm(ds.D())
+		names := make([]string, ds.D())
+		for k, j := range perm {
+			names[k] = ds.Names[j]
+		}
+		permuted := dataset.New(names, ds.N())
+		row := make([]float64, ds.D())
+		for i := 0; i < ds.N(); i++ {
+			for k, j := range perm {
+				row[k] = ds.At(i, j)
+			}
+			permuted.AppendRow(row, ds.Label(i))
+		}
+		det, pdet := NewDetector(ds, p.Phi), NewDetector(permuted, p.Phi)
+		opt := BruteForceOptions{K: 2, M: 400}
+		res, err := det.BruteForce(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pres, err := pdet.BruteForce(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Projections) != len(pres.Projections) {
+			t.Fatalf("%s: %d projections, permuted %d", label, len(res.Projections), len(pres.Projections))
+		}
+		// Projections tied in sparsity may come in either order, and
+		// the last tie group may have lost members to cubes left out;
+		// every other tie group holds the same cubes, and an untied
+		// projection sits at the same position.
+		ps := res.Projections
+		last := ps[len(ps)-1].Sparsity
+		group := map[string]int{} // original minus permuted, per cube
+		for i, pp := range pres.Projections {
+			back := cube.New(ds.D())
+			for k, j := range perm {
+				back[j] = pp.Cube[k]
+			}
+			if math.Float64bits(pp.Sparsity) != math.Float64bits(ps[i].Sparsity) || det.Index.Count(back) != pp.Count {
+				t.Fatalf("%s: projection %d is %v, permuted %v (%v in the original)", label, i, ps[i], pp, back)
+			}
+			if ps[i].Sparsity == last {
+				continue
+			}
+			group[ps[i].Cube.Key()]++
+			group[back.Key()]--
+			if i+1 < len(ps) && ps[i+1].Sparsity == ps[i].Sparsity {
+				continue
+			}
+			if len(group) == 1 {
+				untied++
+			}
+			for _, diff := range group {
+				if diff != 0 {
+					t.Fatalf("%s: the projections with S %v differ", label, ps[i].Sparsity)
+				}
+			}
+			clear(group)
+		}
+	}
+	t.Logf("%d untied projections compared", untied)
+	if untied == 0 {
+		t.Fatal("no trial had an untied projection to compare")
 	}
 }

@@ -252,7 +252,7 @@ func TestNilObserverZeroAlloc(t *testing.T) {
 	ds := plantedDataset(100, 5, 46)
 	det := NewDetector(ds, 4)
 	opt := EvoOptions{K: 2, M: 4, Seed: 3}.withDefaults()
-	s := newSearch(det.source(), opt)
+	s := newSearch(det.Source(), opt)
 	pop := evo.NewPopulation(opt.PopSize, det.D())
 	for i := range pop.Members {
 		s.randomGenome(pop.Members[i])

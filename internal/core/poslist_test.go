@@ -67,7 +67,7 @@ func TestPositionListsTrackGenomes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt
 			opt.M, opt.PopSize, opt.Seed = 5, 30, uint64(ci+1)
-			s := newSearch(det.source(), opt.withDefaults())
+			s := newSearch(det.Source(), opt.withDefaults())
 			pop := evo.NewPopulation(opt.PopSize, det.D())
 			s.randomPopulation(pop)
 			checkPositionLists(t, "init", pop)
@@ -93,7 +93,7 @@ func TestPositionListsIslandMigration(t *testing.T) {
 		if i == 2 {
 			opt.Crossover = TwoPointCrossover
 		}
-		s := newSearch(det.source(), opt.withDefaults())
+		s := newSearch(det.Source(), opt.withDefaults())
 		pop := evo.NewPopulation(20, det.D())
 		s.randomPopulation(pop)
 		s.evaluateAll(pop)
@@ -125,9 +125,9 @@ func TestPositionListsCheckpointResume(t *testing.T) {
 		}
 		opt = opt.withDefaults()
 		opt.Checkpoint.Resume = true
-		s := newSearch(det.source(), opt)
+		s := newSearch(det.Source(), opt)
 		pop := evo.NewPopulation(opt.PopSize, det.D())
-		cp := newEvoCheckpointer(*opt.Checkpoint, evoFingerprint(det.source(), opt))
+		cp := newEvoCheckpointer(*opt.Checkpoint, evoFingerprint(det.Source(), opt))
 		if _, _, ok, err := cp.restore(s, pop); err != nil || !ok {
 			t.Fatalf("%v: restore: ok=%v err=%v", xover, ok, err)
 		}
@@ -183,7 +183,7 @@ func TestPositionListsMutateMatchesDense(t *testing.T) {
 	det := NewDetector(plantedDataset(200, 14, 73), 6)
 	for _, dims := range [][]int{nil, {1, 2, 4, 7, 8, 9, 13}, {0, 13}} {
 		opt := EvoOptions{K: 1, M: 5, Dims: dims, MutateP1: 0.7, MutateP2: 0.6}.withDefaults()
-		got, want := newSearch(det.source(), opt), newSearch(det.source(), opt)
+		got, want := newSearch(det.Source(), opt), newSearch(det.Source(), opt)
 		gen := xrand.New(9)
 		for trial := 0; trial < 400; trial++ {
 			g := make(evo.Genome, det.D())

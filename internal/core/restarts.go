@@ -24,11 +24,12 @@ import (
 // opt.Observer does not serialize the restarts — it must be
 // concurrency-safe, and each restart labels its events with a derived
 // run ID ("evo.r0", "evo.r1", …); a final aggregate summary is
-// emitted under the parent ID. stream's fits
-// (NewMonitor, Refit, ingest refits and hidod fit jobs) pass Workers
-// −1, so their restarts run concurrently on GOMAXPROCS workers;
-// cluster.Coordinator.Fit keeps them serial, so its shared RPC memo
-// sees the same lookups in the same order on every run.
+// emitted under the parent ID. stream's fits pass Workers −1, so over
+// a local source their restarts run concurrently on GOMAXPROCS
+// workers. Over a BatchSource (the cluster fan-out) the restarts run
+// one after another whatever opt.Workers says: its shared RPC memo
+// then sees the same lookups in the same order on every run, so the
+// traffic of a fit is a pure function of the seed.
 //
 // The merged result holds every distinct projection found (up to
 // restarts·M), sorted by ascending sparsity; Outliers is the union of
@@ -36,7 +37,7 @@ import (
 // wall clock), and ConvergedDeJong reports whether every run met the
 // De Jong criterion.
 func (d *Detector) EvolutionaryRestarts(opt EvoOptions, restarts int) (*Result, error) {
-	return EvolutionaryRestartsOver(d.source(), opt, restarts)
+	return EvolutionaryRestartsOver(d.Source(), opt, restarts)
 }
 
 // EvolutionaryRestartsOver is EvolutionaryRestarts against an
@@ -54,7 +55,11 @@ func EvolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*R
 		return nil, fmt.Errorf("core: checkpointing is not supported with restarts")
 	}
 	start := time.Now()
-	outer, inner := fanout.Split(fanout.Workers(opt.Workers), restarts)
+	concurrent := restarts
+	if _, ok := src.(BatchSource); ok {
+		concurrent = 1
+	}
+	outer, inner := fanout.Split(fanout.Workers(opt.Workers), concurrent)
 
 	runID := opt.RunID
 	if runID == "" {
@@ -111,36 +116,13 @@ func EvolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*R
 	return merged, nil
 }
 
-// EvolutionarySweepK runs the evolutionary search at every projection
-// dimensionality in [kmin, kmax] and returns the per-k results keyed
-// by k. The paper's desiderata note that thresholds at different k
-// are not directly comparable (§1.1); the sparsity coefficient is the
-// normalizer, so callers typically merge the per-k projections after
-// filtering each at the same target coefficient.
-func (d *Detector) EvolutionarySweepK(opt EvoOptions, kmin, kmax int) (map[int]*Result, error) {
-	if kmin < 1 || kmax < kmin || kmax > d.D() {
-		return nil, fmt.Errorf("core: k sweep [%d,%d] outside [1,%d]", kmin, kmax, d.D())
-	}
-	out := make(map[int]*Result, kmax-kmin+1)
-	for k := kmin; k <= kmax; k++ {
-		o := opt
-		o.K = k
-		res, err := d.Evolutionary(o)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = res
-	}
-	return out, nil
-}
-
 // FilterProjections returns a copy of the result keeping only
 // projections with sparsity at or below the threshold, with outliers
 // recomputed over the surviving projections (the §3.1 procedure:
 // "all the sparse projections ... with a sparsity coefficient of -3
 // or less").
 func (r *Result) FilterProjections(d *Detector, threshold float64) *Result {
-	return r.FilterProjectionsOver(d.source(), threshold)
+	return r.FilterProjectionsOver(d.Source(), threshold)
 }
 
 // FilterProjectionsOver is FilterProjections against an arbitrary

@@ -222,7 +222,7 @@ func TestBruteForceParallelPanicReachesCaller(t *testing.T) {
 			}
 			recovered.Store(true)
 		}()
-		_, _ = BruteForceOver(panickySource{det.source()}, BruteForceOptions{
+		_, _ = BruteForceOver(panickySource{det.Source()}, BruteForceOptions{
 			K: 2, M: 5, Workers: 4, Observer: observer, ProgressInterval: time.Millisecond,
 		})
 		t.Error("BruteForceOver returned after its source panicked")
@@ -254,26 +254,58 @@ func TestMinimalExplanationsDropDominated(t *testing.T) {
 	}
 }
 
-func TestEvolutionarySweepK(t *testing.T) {
-	det := NewDetector(plantedDataset(300, 6, 62), 4)
-	results, err := det.EvolutionarySweepK(EvoOptions{M: 10, Seed: 1}, 1, 3)
+// overlapProbe is a BatchSource that records the most of its batch
+// calls ever in flight at once. Each call lingers briefly, so restarts
+// running side by side on two or more cores would overlap.
+type overlapProbe struct {
+	roundSource
+	inFlight, most atomic.Int32
+}
+
+func (p *overlapProbe) enter() {
+	n := p.inFlight.Add(1)
+	for m := p.most.Load(); n > m && !p.most.CompareAndSwap(m, n); m = p.most.Load() {
+	}
+	time.Sleep(50 * time.Microsecond)
+}
+
+func (p *overlapProbe) CountBatch(cs []cube.Cube, keys []string, workers int) []int {
+	p.enter()
+	defer p.inFlight.Add(-1)
+	return p.roundSource.CountBatch(cs, keys, workers)
+}
+
+func (p *overlapProbe) ExtendBatch(xs []Extension) []int {
+	p.enter()
+	defer p.inFlight.Add(-1)
+	return p.roundSource.ExtendBatch(xs)
+}
+
+// Over a BatchSource the restarts run one after another even when
+// Workers asks for every core, so a memoizing remote source sees one
+// lookup order; the result is the one a local source gives.
+func TestRestartsOverBatchSourceRunSerially(t *testing.T) {
+	det := NewDetector(plantedDataset(300, 8, 32), 4)
+	opt := EvoOptions{K: 2, M: 10, Seed: 5, Workers: -1, MaxGenerations: 20}
+	want, err := det.EvolutionaryRestarts(opt, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
+	probe := &overlapProbe{roundSource: roundSource{detectorSource: detectorSource{det}}}
+	got, err := EvolutionaryRestartsOver(probe, opt, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, res := range results {
-		for _, p := range res.Projections {
-			if p.Cube.K() != k {
-				t.Errorf("k=%d result holds a %d-dim projection", k, p.Cube.K())
-			}
+	if n := probe.most.Load(); n != 1 {
+		t.Errorf("%d batch calls in flight at once, want 1", n)
+	}
+	if len(got.Projections) != len(want.Projections) || got.Evaluations != want.Evaluations {
+		t.Fatalf("batch source: %d projections in %d evaluations, local %d in %d",
+			len(got.Projections), got.Evaluations, len(want.Projections), want.Evaluations)
+	}
+	for i, p := range got.Projections {
+		if !p.Cube.Equal(want.Projections[i].Cube) || p.Count != want.Projections[i].Count {
+			t.Fatalf("projection %d: batch source %v, local %v", i, p, want.Projections[i])
 		}
-	}
-	if _, err := det.EvolutionarySweepK(EvoOptions{M: 10}, 2, 1); err == nil {
-		t.Error("inverted sweep accepted")
-	}
-	if _, err := det.EvolutionarySweepK(EvoOptions{M: 10}, 0, 2); err == nil {
-		t.Error("kmin=0 accepted")
 	}
 }

@@ -60,15 +60,26 @@ type Grid struct {
 	data *dataset.Dataset
 }
 
-// Fit places phi ranges per dimension over the dataset and binds the
-// grid to it. phi must be at least 2 and fit in uint16. Columns are
-// independent, so their cuts are placed on a pool of GOMAXPROCS
-// workers, each with one column buffer and one set of selection
-// scratch reused across its block of dimensions, writing into one flat
-// cut table; the grid is identical at every pool size.
-func Fit(ds *dataset.Dataset, phi int, method Method) *Grid {
+// CheckPhi reports whether phi is a usable grid resolution: at least
+// two ranges per dimension, and few enough that a range number fits
+// the uint16 cells of a cube. Every fit, grid and model check of φ
+// goes through it.
+func CheckPhi(phi int) error {
 	if phi < 2 || phi > math.MaxUint16 {
-		panic(fmt.Sprintf("discretize: phi=%d out of range [2,%d]", phi, math.MaxUint16))
+		return fmt.Errorf("discretize: phi=%d out of range [2,%d]", phi, math.MaxUint16)
+	}
+	return nil
+}
+
+// Fit places phi ranges per dimension over the dataset and binds the
+// grid to it. phi must pass CheckPhi. Columns are independent, so
+// their cuts are placed on a pool of GOMAXPROCS workers, each with one
+// column buffer and one set of selection scratch reused across its
+// block of dimensions, writing into one flat cut table; the grid is
+// identical at every pool size.
+func Fit(ds *dataset.Dataset, phi int, method Method) *Grid {
+	if err := CheckPhi(phi); err != nil {
+		panic(err)
 	}
 	if ds.N() == 0 || ds.D() == 0 {
 		panic("discretize: empty dataset")
@@ -180,8 +191,8 @@ func Apply(ds *dataset.Dataset, phi int, cuts [][]float64) *Grid {
 // as on the original. Each dimension must supply phi−1 ascending cuts,
 // none of them NaN.
 func FromCuts(phi int, cuts [][]float64) *Grid {
-	if phi < 2 || phi > math.MaxUint16 {
-		panic(fmt.Sprintf("discretize: phi=%d out of range [2,%d]", phi, math.MaxUint16))
+	if err := CheckPhi(phi); err != nil {
+		panic(err)
 	}
 	if len(cuts) == 0 {
 		panic("discretize: FromCuts with no dimensions")

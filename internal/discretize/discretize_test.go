@@ -216,6 +216,39 @@ func TestRangeBoundsPanics(t *testing.T) {
 	}
 }
 
+// TestCheckPhi pins the one φ bound every fit, grid, sketch and model
+// check uses: [2, 65 535], the most ranges a uint16 cell can name.
+func TestCheckPhi(t *testing.T) {
+	for _, phi := range []int{math.MinInt, -1, 0, 1, math.MaxUint16 + 1, math.MaxInt} {
+		if CheckPhi(phi) == nil {
+			t.Errorf("phi=%d accepted", phi)
+		}
+	}
+	for _, phi := range []int{2, 3, 100, math.MaxUint16} {
+		if err := CheckPhi(phi); err != nil {
+			t.Errorf("phi=%d: %v", phi, err)
+		}
+	}
+	// The constructors panic on exactly what CheckPhi rejects.
+	ds := uniformDS(10, 2, 6)
+	for _, phi := range []int{1, math.MaxUint16 + 1} {
+		for name, fn := range map[string]func(){
+			"Fit":         func() { Fit(ds, phi, EquiDepth) },
+			"FromCuts":    func() { FromCuts(phi, [][]float64{{}}) },
+			"Sketch.Cuts": func() { NewSketch().Cuts(phi) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s at phi=%d did not panic", name, phi)
+					}
+				}()
+				fn()
+			}()
+		}
+	}
+}
+
 func TestFitPanics(t *testing.T) {
 	ds := uniformDS(10, 2, 6)
 	for name, fn := range map[string]func(){

@@ -221,8 +221,8 @@ func (s *Sketch) Quantile(q float64) float64 {
 // tie-heavy data. The result is always finite, valid input for
 // FromCuts/Apply and for a saved model.
 func (s *Sketch) Cuts(phi int) []float64 {
-	if phi < 2 || phi > math.MaxUint16 {
-		panic(fmt.Sprintf("discretize: sketch cuts phi=%d out of range [2,%d]", phi, math.MaxUint16))
+	if err := CheckPhi(phi); err != nil {
+		panic(err)
 	}
 	cuts := make([]float64, phi-1)
 	if s.n == 0 {

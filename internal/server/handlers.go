@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -145,35 +147,34 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.phScoreEncode.Observe(s.cfg.Now().Sub(t).Seconds())
 }
 
-// handleFit fits a model asynchronously from an uploaded reference
-// window and installs it in the registry on success.
-func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	name := modelParam(q)
-	opt := stream.Options{Phi: 5, TargetS: -3, M: 100, Seed: 1}
+// fitOptions parses the parameters both fit endpoints take: phi
+// (default 5), s and m (the stream defaults when absent), seed
+// (default 1), and kind=single|ensemble with the ensemble's members,
+// bag, algo and combiner. stream.Options.Validate checks the result,
+// so both endpoints reject what a fit would.
+func fitOptions(q url.Values) (stream.Options, error) {
+	opt := stream.Options{Phi: 5, Seed: 1}
 	var err error
 	if v := q.Get("phi"); v != "" {
 		if opt.Phi, err = strconv.Atoi(v); err != nil {
-			writeError(w, http.StatusBadRequest, "bad phi: "+v)
-			return
+			return opt, errors.New("bad phi: " + v)
 		}
 	}
 	if v := q.Get("s"); v != "" {
-		if opt.TargetS, err = strconv.ParseFloat(v, 64); err != nil {
-			writeError(w, http.StatusBadRequest, "bad s: "+v)
-			return
+		// An explicit 0 is not the default: it asks for a target no
+		// cube can be abnormal against.
+		if opt.TargetS, err = strconv.ParseFloat(v, 64); err != nil || opt.TargetS == 0 {
+			return opt, errors.New("bad s: " + v)
 		}
 	}
 	if v := q.Get("m"); v != "" {
 		if opt.M, err = strconv.Atoi(v); err != nil {
-			writeError(w, http.StatusBadRequest, "bad m: "+v)
-			return
+			return opt, errors.New("bad m: " + v)
 		}
 	}
 	if v := q.Get("seed"); v != "" {
 		if opt.Seed, err = strconv.ParseUint(v, 10, 64); err != nil {
-			writeError(w, http.StatusBadRequest, "bad seed: "+v)
-			return
+			return opt, errors.New("bad seed: " + v)
 		}
 	}
 	// kind=ensemble selects the subspace-ensemble model; members, bag,
@@ -185,24 +186,32 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		eo := &stream.EnsembleOptions{Algo: q.Get("algo"), Combiner: q.Get("combiner")}
 		if v := q.Get("members"); v != "" {
 			if eo.Members, err = strconv.Atoi(v); err != nil {
-				writeError(w, http.StatusBadRequest, "bad members: "+v)
-				return
+				return opt, errors.New("bad members: " + v)
 			}
 		}
 		if v := q.Get("bag"); v != "" {
 			if eo.BagSize, err = strconv.Atoi(v); err != nil {
-				writeError(w, http.StatusBadRequest, "bad bag: "+v)
-				return
+				return opt, errors.New("bad bag: " + v)
 			}
 		}
 		opt.Ensemble = eo
 	default:
-		writeError(w, http.StatusBadRequest, "bad kind: "+q.Get("kind")+" (want single or ensemble)")
-		return
+		return opt, errors.New("bad kind: " + q.Get("kind") + " (want single or ensemble)")
 	}
-	if opt.Phi < 2 || opt.TargetS >= 0 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("invalid fit parameters: phi=%d (need >=2), s=%v (need <0)", opt.Phi, opt.TargetS))
+	if err := opt.Validate(); err != nil {
+		return opt, fmt.Errorf("invalid fit parameters: %w", err)
+	}
+	return opt, nil
+}
+
+// handleFit fits a model asynchronously from an uploaded reference
+// window and installs it in the registry on success.
+func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	name := modelParam(q)
+	opt, err := fitOptions(q)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Fitting tolerates categorical columns (they are integer-encoded
@@ -267,6 +276,64 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Location", statusURL)
 	writeJSON(w, http.StatusAccepted, fitResponse{
 		Job: id, Model: name, Records: ds.N(), StatusURL: statusURL,
+	})
+}
+
+// Fitter is the seam behind POST /api/v1/cluster/fit: a synchronous
+// single-search fit over reference rows this server does not hold,
+// returning the monitor and its saved model JSON. The cluster
+// coordinator (internal/cluster) plugs in its distributed fit; nil
+// answers 404 on that endpoint. See SetFitter for late binding.
+type Fitter interface {
+	Fit(ctx context.Context, opt stream.Options) (*stream.Monitor, []byte, error)
+}
+
+// clusterFitResponse is the body of a successful POST
+// /api/v1/cluster/fit.
+type clusterFitResponse struct {
+	Model       string `json:"model"`
+	Phi         int    `json:"phi"`
+	K           int    `json:"k"`
+	Projections int    `json:"projections"`
+}
+
+// handleClusterFit runs the Fitter's fit and installs the model under
+// ?model=. It takes /api/v1/fit's parameters except kind=ensemble: the
+// distributed fit mines a single-search model, so that is a 400, like
+// any parameter the fit would reject, and no RPC is sent. The fit is
+// synchronous because its heavy half runs on the shards. A failed fit
+// answers 502, one past the request deadline 504.
+func (s *Server) handleClusterFit(w http.ResponseWriter, r *http.Request) {
+	if s.cfg.Fitter == nil {
+		writeError(w, http.StatusNotFound, "cluster fit unavailable: no storage nodes attached (start with -role select)")
+		return
+	}
+	q := r.URL.Query()
+	name := modelParam(q)
+	opt, err := fitOptions(q)
+	if err == nil && opt.Ensemble != nil {
+		err = errors.New("bad kind: ensemble (a distributed fit mines a single-search model)")
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	mon, _, err := s.cfg.Fitter.Fit(r.Context(), opt)
+	if err != nil {
+		code := http.StatusBadGateway
+		if cerr := r.Context().Err(); cerr != nil {
+			code = httpStatusFromErr(cerr)
+		}
+		writeError(w, code, "cluster fit failed: "+err.Error())
+		return
+	}
+	if err := s.registry.Set(name, Entry{Monitor: mon, FittedAt: s.cfg.Now(), Source: "cluster-fit"}); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	s.persist(name, s.cfg.Logger.With("req", obs.RequestID(r.Context())))
+	writeJSON(w, http.StatusOK, clusterFitResponse{
+		Model: name, Phi: opt.Phi, K: mon.K(), Projections: len(mon.Projections()),
 	})
 }
 

@@ -11,8 +11,8 @@
 // the design, not bolt-ons:
 //
 //   - backpressure: a max-in-flight semaphore bounds the heavy
-//     endpoints (/api/v1/score, /api/v1/fit); excess requests get 429
-//     immediately instead of queueing without bound.
+//     endpoints (score, ingest, top-n and both fits); excess requests
+//     get 429 immediately instead of queueing without bound.
 //   - per-request timeouts: scoring runs under the request context
 //     plus a configurable deadline; a timed-out or disconnected
 //     request abandons its batch instead of burning the worker pool.
@@ -28,6 +28,7 @@
 //	POST   /api/v1/ingest?model=N[&explain=1][&all=1]  score a batch AND feed it into the model's sliding window (needs -ingest-window)
 //	GET    /api/v1/topn?model=N&n=K                    rank stored reference rows (needs -data or -role select)
 //	POST   /api/v1/fit?model=N&phi=..&s=..             async fit -> 202 + job id
+//	POST   /api/v1/cluster/fit?model=N&phi=..&s=..     distributed fit over the storage nodes -> 200 (needs -role select)
 //	GET    /api/v1/jobs/{id}                           fit job status
 //	GET    /api/v1/models                              list models + metadata
 //	GET    /api/v1/models/{name}                       download model JSON (hidomon format)
@@ -106,6 +107,10 @@ type Config struct {
 	// threshold at warn level (JSON-lines via Logger) with its trace ID
 	// so the trace can be pulled from /api/v1/debug/traces/{id}.
 	SlowRequest time.Duration
+	// Fitter, when set, serves POST /api/v1/cluster/fit — the cluster
+	// coordinator's distributed fit seam. nil answers 404 on that
+	// endpoint. See SetFitter for late binding.
+	Fitter Fitter
 	// TraceFetcher, when set, lets GET /api/v1/debug/traces/{id}
 	// assemble spans recorded on other nodes — the cluster
 	// coordinator's trace RPC seam. nil serves local spans only. See
@@ -334,6 +339,7 @@ func New(cfg Config) *Server {
 	s.route("POST /api/v1/ingest", "/api/v1/ingest", true, s.handleIngest)
 	s.route("GET /api/v1/topn", "/api/v1/topn", true, s.handleTopN)
 	s.route("POST /api/v1/fit", "/api/v1/fit", true, s.handleFit)
+	s.route("POST /api/v1/cluster/fit", "/api/v1/cluster/fit", true, s.handleClusterFit)
 	s.route("GET /api/v1/jobs/{id}", "/api/v1/jobs/{id}", false, s.handleJob)
 	s.route("GET /api/v1/models", "/api/v1/models", false, s.handleModelList)
 	s.route("GET /api/v1/models/{name}", "/api/v1/models/{name}", false, s.handleModelGet)
@@ -378,6 +384,10 @@ func (s *Server) SetBatchScorer(b BatchScorer) { s.cfg.BatchScorer = b }
 // SetTopNer installs the top-n seam after construction; same late
 // binding contract as SetBatchScorer.
 func (s *Server) SetTopNer(t TopNer) { s.cfg.TopNer = t }
+
+// SetFitter installs the distributed fit seam after construction;
+// same late binding contract as SetBatchScorer.
+func (s *Server) SetFitter(f Fitter) { s.cfg.Fitter = f }
 
 // SetTraceFetcher installs the cross-node trace seam after
 // construction; same late binding contract as SetBatchScorer.

@@ -134,8 +134,8 @@ func (model *Model) Validate() error {
 		return fmt.Errorf("stream: model version %d, want %d or %d",
 			model.Version, modelVersion, modelVersionEnsemble)
 	}
-	if model.Phi < 2 || model.Phi > math.MaxUint16 {
-		return fmt.Errorf("stream: model phi=%d invalid", model.Phi)
+	if err := discretize.CheckPhi(model.Phi); err != nil {
+		return fmt.Errorf("stream: model: %w", err)
 	}
 	if len(model.Cuts) == 0 || len(model.Names) != len(model.Cuts) {
 		return fmt.Errorf("stream: model has %d name(s) for %d dimension(s)",

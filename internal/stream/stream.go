@@ -19,6 +19,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -89,6 +90,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Validate checks the options every fit takes, after the zero fields
+// take their defaults: φ within discretize.CheckPhi's bounds, a
+// negative finite target, positive M and Restarts, and a well-formed
+// ensemble section. A fit checks them before it touches any data.
+func (o Options) Validate() error {
+	o = o.withDefaults()
+	if err := discretize.CheckPhi(o.Phi); err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	if !(o.TargetS < 0) || math.IsInf(o.TargetS, -1) {
+		return fmt.Errorf("stream: target sparsity %v must be negative and finite", o.TargetS)
+	}
+	if o.M < 1 {
+		return fmt.Errorf("stream: m=%d must be positive", o.M)
+	}
+	if o.Restarts < 1 {
+		return fmt.Errorf("stream: restarts=%d must be positive", o.Restarts)
+	}
+	if o.Ensemble != nil {
+		return o.Ensemble.validate()
+	}
+	return nil
+}
+
 // Monitor scores records against a model mined from a reference
 // window. Score is safe for concurrent use; Refit takes an exclusive
 // lock.
@@ -118,20 +143,30 @@ type Monitor struct {
 
 // NewMonitor fits the initial model on the reference window.
 func NewMonitor(reference *dataset.Dataset, opt Options) (*Monitor, error) {
-	opt = opt.withDefaults()
-	if opt.Phi < 2 {
-		return nil, fmt.Errorf("stream: phi=%d must be at least 2", opt.Phi)
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
-	if opt.TargetS >= 0 {
-		return nil, fmt.Errorf("stream: target sparsity %v must be negative", opt.TargetS)
+	m := &Monitor{opt: opt.withDefaults()}
+	if err := m.Refit(reference); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// NewMonitorOver fits a single-search model over counts that src takes
+// under cuts, with names for the attributes — the distributed fit,
+// whose source sums the counts of row shards. The model is the one
+// NewMonitor fits over the same rows: both run one fit body. An
+// ensemble needs the rows themselves, so opt.Ensemble must be nil.
+func NewMonitorOver(src core.CountSource, cuts [][]float64, names []string, opt Options) (*Monitor, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
 	if opt.Ensemble != nil {
-		if err := opt.Ensemble.validate(); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("stream: an ensemble fit needs the reference rows, not only their counts")
 	}
-	m := &Monitor{opt: opt}
-	if err := m.Refit(reference); err != nil {
+	m := &Monitor{opt: opt.withDefaults()}
+	if err := m.refitOver(src, discretize.FromCuts(src.Phi(), cuts), names); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -169,32 +204,42 @@ func (m *Monitor) refitDetector(reference *dataset.Dataset, det *core.Detector) 
 	if m.opt.Ensemble != nil {
 		return m.refitEnsemble(reference, det)
 	}
-	advice := det.Advise(m.opt.TargetS)
+	// Keep the cuts only, as a loaded model does: the detector's grid
+	// is bound to the reference window, which the model must not pin.
+	return m.refitOver(det.Source(), discretize.FromCuts(det.Phi(), det.Grid.AllCuts()), reference.Names)
+}
+
+// refitOver is the single-search fit, the one body behind NewMonitor,
+// Refit, ingest window refits and NewMonitorOver: the §2.4 advisor
+// picks k, the restarted Figure 3 search mines the sparsest
+// projections, and the §2.3 filter keeps those at or below TargetS.
+// The model keeps grid, which holds cuts only (discretize.FromCuts),
+// never the rows behind src.
+func (m *Monitor) refitOver(src core.CountSource, grid *discretize.Grid, names []string) error {
+	advice := core.Advise(src.N(), src.Phi(), m.opt.TargetS)
 	// MinCoverage -1 admits cubes that are EMPTY in the reference
 	// window — offline mining discards them (they cover no record),
 	// but online they are the strongest alarms: a new record landing
-	// in a region the reference never occupied. The restarts run
-	// concurrently, as the ensemble's members do.
-	res, err := det.EvolutionaryRestarts(core.EvoOptions{
+	// in a region the reference never occupied. Over a local source
+	// the restarts run concurrently, as the ensemble's members do.
+	res, err := core.EvolutionaryRestartsOver(src, core.EvoOptions{
 		K: advice.K, M: m.opt.M, Seed: m.opt.Seed, MinCoverage: -1,
 		Workers: -1, Observer: m.opt.Observer, RunID: "fit",
 	}, m.opt.Restarts)
 	if err != nil {
 		return err
 	}
-	res = res.FilterProjections(det, m.opt.TargetS)
+	res = res.FilterProjectionsOver(src, m.opt.TargetS)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// Backstop for the up-front checkDims: a racing Refit could have
 	// swapped in a different-width model while this fit ran off-lock.
-	if m.grid != nil && det.D() != m.grid.D {
-		return fmt.Errorf("stream: refit window has %d dims, model has %d", det.D(), m.grid.D)
+	if m.grid != nil && src.D() != m.grid.D {
+		return fmt.Errorf("stream: refit window has %d dims, model has %d", src.D(), m.grid.D)
 	}
-	// Keep the cuts only, as a loaded model does: the detector's grid
-	// is bound to the reference window, which the model must not pin.
-	m.grid = discretize.FromCuts(det.Phi(), det.Grid.AllCuts())
-	m.names = append([]string(nil), reference.Names...)
+	m.grid = grid
+	m.names = append([]string(nil), names...)
 	m.projections = res.Projections
 	m.k = advice.K
 	m.members = nil

@@ -139,12 +139,29 @@ func TestMonitorRefit(t *testing.T) {
 	}
 }
 
+// TestMonitorValidation: every option set a fit cannot run is an
+// error from Options.Validate and from NewMonitor, before any
+// discretization; φ above 65 535 used to pass NewMonitor's check and
+// panic in discretize.Fit.
 func TestMonitorValidation(t *testing.T) {
-	if _, err := NewMonitor(reference(100, 13), Options{Phi: 1}); err == nil {
-		t.Error("phi=1 accepted")
+	for _, opt := range []Options{
+		{}, {Phi: 1}, {Phi: 65536}, {Phi: -3},
+		{Phi: 5, TargetS: 3}, {Phi: 5, TargetS: math.NaN()}, {Phi: 5, TargetS: math.Inf(-1)},
+		{Phi: 5, M: -1}, {Phi: 5, Restarts: -2},
+		{Phi: 5, Ensemble: &EnsembleOptions{Members: -1}},
+		{Phi: 5, Ensemble: &EnsembleOptions{Algo: "annealing"}},
+	} {
+		if opt.Validate() == nil {
+			t.Errorf("%+v: Validate accepted", opt)
+		}
+		if _, err := NewMonitor(reference(100, 13), opt); err == nil {
+			t.Errorf("%+v: NewMonitor accepted", opt)
+		}
 	}
-	if _, err := NewMonitor(reference(100, 13), Options{Phi: 5, TargetS: 3}); err == nil {
-		t.Error("positive target accepted")
+	for _, opt := range []Options{{Phi: 2}, {Phi: 65535}, {Phi: 5, TargetS: -2, M: 1, Restarts: 1}} {
+		if err := opt.Validate(); err != nil {
+			t.Errorf("%+v: %v", opt, err)
+		}
 	}
 	m, err := NewMonitor(reference(200, 14), Options{Phi: 5, Seed: 1})
 	if err != nil {
