@@ -64,19 +64,30 @@ func benchBrute(b *testing.B, name string) {
 	}
 }
 
+// benchEvo times single-run searches on one Table 1 profile, seeds 1,
+// 2, 3, … in turn, then reports the Evaluations and Generations of an
+// observed seed-1 run, which bench_baseline.json gates for the
+// optimized crossover.
 func benchEvo(b *testing.B, name string, kind core.CrossoverKind) {
 	det, p := table1Detector(b, name)
+	opt := core.EvoOptions{K: p.K, M: 20, Crossover: kind}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := det.Evolutionary(core.EvoOptions{
-			K: p.K, M: 20, Seed: uint64(i + 1), Crossover: kind,
-		})
+		o := opt
+		o.Seed = uint64(i + 1)
+		res, err := det.Evolutionary(o)
 		if err != nil {
 			b.Fatal(err)
 		}
 		_ = res.Quality()
 	}
+	reportSearchCounts(b, func(observer obs.Observer) error {
+		o := opt
+		o.Seed, o.Observer = 1, observer
+		_, err := det.Evolutionary(o)
+		return err
+	})
 }
 
 // --- Table 1: BreastCancer (14) ---

@@ -8,7 +8,7 @@
 // The gate fails when, for any benchmark present in the baseline,
 //
 //   - the benchmark is missing from the new run, or
-//   - allocs/op exceeds baseline by more than 10%, or
+//   - allocs/op exceeds a non-zero baseline value by more than 10%, or
 //   - records/s drops below 85% of baseline, or
 //   - evaluations/op or generations/op differs at all from a non-zero
 //     baseline value.
@@ -161,7 +161,7 @@ func gate(baseline, current map[string]Result) []string {
 			bad = append(bad, fmt.Sprintf("%s: missing from the benchmark run", name))
 			continue
 		}
-		if limit := base.AllocsPerOp * allocSlack; cur.AllocsPerOp > limit {
+		if limit := base.AllocsPerOp * allocSlack; base.AllocsPerOp > 0 && cur.AllocsPerOp > limit {
 			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op exceeds baseline %.0f by more than 10%%",
 				name, cur.AllocsPerOp, base.AllocsPerOp))
 		}

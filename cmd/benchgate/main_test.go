@@ -201,4 +201,12 @@ func TestGateSearchCounts(t *testing.T) {
 	if bad := gate(map[string]Result{"Fit_Musk": {AllocsPerOp: 34000}}, map[string]Result{"Fit_Musk": {AllocsPerOp: 31642}}); len(bad) != 0 {
 		t.Fatalf("count-free baseline gated: %v", bad)
 	}
+	// A baseline with counts only gates the counts, not allocs/op.
+	countsOnly := map[string]Result{"Table1_Musk_GenOpt": {EvaluationsPerOp: 33000, GenerationsPerOp: 64}}
+	if bad := gate(countsOnly, map[string]Result{"Table1_Musk_GenOpt": {AllocsPerOp: 9000, EvaluationsPerOp: 33000, GenerationsPerOp: 64}}); len(bad) != 0 {
+		t.Fatalf("allocs/op gated on a baseline without it: %v", bad)
+	}
+	if bad := gate(countsOnly, map[string]Result{"Table1_Musk_GenOpt": {AllocsPerOp: 9000, EvaluationsPerOp: 33001, GenerationsPerOp: 64}}); len(bad) != 1 {
+		t.Fatalf("changed evaluations/op on a counts-only baseline: violations %v, want one", bad)
+	}
 }

@@ -60,8 +60,8 @@ func main() {
 		explain   = flag.Bool("explain", false, "print covering projections per outlier")
 		equiwidth = flag.Bool("equiwidth", false, "use equi-width ranges instead of equi-depth")
 		budget    = flag.Duration("budget", time.Minute, "brute-force time budget")
-		restarts  = flag.Int("restarts", 1, "evo: independent runs to union")
-		islands   = flag.Int("islands", 0, "evo: island-model populations (0 = single population)")
+		restarts  = flag.Int("restarts", 1, "evo: independent runs to union (at least 1; not with -islands)")
+		islands   = flag.Int("islands", 0, "evo: island-model populations (0 = single population; not with -restarts)")
 		workers   = flag.Int("workers", 1, "parallel workers for brute and evo searches (0 = all CPUs)")
 		minimal   = flag.Bool("minimal", false, "reduce explanations to minimal sub-cubes")
 		filter    = flag.Float64("filter", 0, "keep only projections with sparsity <= this (0 = keep all)")
@@ -195,6 +195,14 @@ func run(cfg config) error {
 	top, explain, equiwidth, budget := cfg.top, cfg.explain, cfg.equiwidth, cfg.budget
 	if err := discretize.CheckPhi(phi); err != nil {
 		return fmt.Errorf("-phi: %w", err)
+	}
+	switch {
+	case cfg.restarts < 1:
+		return fmt.Errorf("-restarts %d: need at least 1 run", cfg.restarts)
+	case cfg.islands < 0:
+		return fmt.Errorf("-islands %d: need 0 (one population) or more", cfg.islands)
+	case cfg.restarts > 1 && cfg.islands > 0:
+		return fmt.Errorf("-restarts %d with -islands %d: choose one", cfg.restarts, cfg.islands)
 	}
 
 	ds, err := dataset.ReadCSVFile(in, dataset.ReadCSVOptions{

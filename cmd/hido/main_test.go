@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,12 +85,24 @@ func TestRunErrors(t *testing.T) {
 		// Out-of-range φ is an error, not a panic in the discretizer.
 		"phi 1":     func(c *config) { c.phi = 1 },
 		"phi 65536": func(c *config) { c.phi = 65536 },
+		// Run counts the search cannot honour are errors naming the
+		// flag, not a silent single search or islands alone.
+		"restarts 0":           func(c *config) { c.restarts = 0 },
+		"restarts -2":          func(c *config) { c.restarts = -2 },
+		"islands -1":           func(c *config) { c.islands = -1 },
+		"restarts and islands": func(c *config) { c.restarts, c.islands = 3, 2 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := baseConfig(path)
 			mod(&cfg)
-			if err := run(cfg); err == nil {
-				t.Error("no error")
+			err := run(cfg)
+			if err == nil {
+				t.Fatal("no error")
+			}
+			for _, flag := range []string{"restarts", "islands"} {
+				if strings.HasPrefix(name, flag) && !strings.Contains(err.Error(), "-"+flag) {
+					t.Errorf("error %q does not name -%s", err, flag)
+				}
 			}
 		})
 	}

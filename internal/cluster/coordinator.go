@@ -502,8 +502,11 @@ type FitOptions = stream.Options
 // is the sum of per-shard counts. Because the fit is a pure function
 // of those counts, the model is bit-identical to a single-node fit on
 // the concatenated data; the JSON it returns is the monitor's own Save.
-// A Source is a core.BatchSource, so the restarts run one after
-// another and the RPCs of a fit are a pure function of the seed.
+// A Source is a core.BatchSource, and the restarts advance in
+// lockstep: each crossover round and each evaluation of every restart
+// shares one count RPC per shard, so a fit's round trips follow its
+// longest restart rather than their sum, and its RPCs are a pure
+// function of the seed.
 //
 // Fit requires every shard: a missing shard makes the counts wrong,
 // not just incomplete, so the fit fails instead of degrading. Options

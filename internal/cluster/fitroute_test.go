@@ -78,7 +78,7 @@ func (g *countGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // fit's count RPCs, and a route metric; bad parameters are JSON 400s
 // that send no RPC; a second fit in flight past MaxInFlight is a 429;
 // a dead shard is a JSON 502; and two fits at one seed send each
-// shard the same count and cover RPCs.
+// shard the same count and cover RPCs, byte for byte in total.
 func TestClusterFitThroughServer(t *testing.T) {
 	full := testData(t, 240)
 	want := singleNodeModel(t, full, stream.Options{Phi: 4, Seed: 7})
@@ -97,7 +97,7 @@ func TestClusterFitThroughServer(t *testing.T) {
 		}
 	}
 
-	fitOnce := func(model string) [][2]int {
+	fitOnce := func(model string) [][4]int {
 		t.Helper()
 		resp, body := postFit(t, sel.URL, "model="+model+"&phi=4&seed=7")
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Request-Id") == "" {
@@ -113,10 +113,10 @@ func TestClusterFitThroughServer(t *testing.T) {
 		if code != http.StatusOK || js != string(want) {
 			t.Errorf("fit %s: model (%d) differs from the single-node fit", model, code)
 		}
-		var perShard [][2]int
+		var perShard [][4]int
 		for _, m := range meters {
-			calls := m.take()
-			perShard = append(perShard, [2]int{calls["count"], calls["cover"]})
+			calls, sent := m.take(), m.takeSent()
+			perShard = append(perShard, [4]int{calls["count"], calls["cover"], sent["count"], sent["cover"]})
 		}
 		traceID := resp.Header.Get("X-Trace-Id")
 		if traceID == "" {
@@ -128,7 +128,8 @@ func TestClusterFitThroughServer(t *testing.T) {
 	first, second := fitOnce("a"), fitOnce("b")
 	for i, c := range first {
 		if c[0] == 0 || second[i] != c {
-			t.Errorf("shard %d: count and cover RPCs %v on the first fit, %v on the second", i, c, second[i])
+			t.Errorf("shard %d: count and cover RPCs and their request bytes %v on the first fit, %v on the second",
+				i, c, second[i])
 		}
 	}
 	_, metrics := get(t, sel.URL+"/metrics")

@@ -20,9 +20,10 @@ import (
 // Counts are memoized (searches revisit cubes constantly; an RPC per
 // revisit would be pathological), and Source is a core.BatchSource:
 // the misses of each batch travel in one count RPC per shard. A
-// search generation sends one batch per crossover round plus one for
-// its evaluation — at most k+1 round trips at the advisor's k ≤ 6 —
-// and each §2.3 postprocessing pass sends one cover RPC per shard.
+// search generation — of every restart at once, since they advance in
+// lockstep — sends one batch per crossover round plus one for its
+// evaluation, at most k+1 round trips at the advisor's k ≤ 6, and
+// each §2.3 postprocessing pass sends one cover RPC per shard.
 //
 // core.CountSource has no error returns: a search cannot surface an
 // RPC failure mid-generation. Source therefore latches the first

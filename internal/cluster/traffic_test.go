@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path"
@@ -17,16 +18,29 @@ import (
 	"hido/internal/stream"
 )
 
-// rpcMeter counts the RPCs a storage handler serves, by name.
+// rpcMeter counts the RPCs a storage handler serves, and their request
+// body bytes, by name.
 type rpcMeter struct {
 	next  http.Handler
 	mu    sync.Mutex
 	calls map[string]int
+	sent  map[string]int
 }
 
 func (m *rpcMeter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	name := path.Base(r.URL.Path)
 	m.mu.Lock()
-	m.calls[path.Base(r.URL.Path)]++
+	m.calls[name]++
+	if m.sent == nil {
+		m.sent = map[string]int{}
+	}
+	m.sent[name] += len(body)
 	m.mu.Unlock()
 	m.next.ServeHTTP(w, r)
 }
@@ -37,6 +51,16 @@ func (m *rpcMeter) take() map[string]int {
 	defer m.mu.Unlock()
 	out := m.calls
 	m.calls = map[string]int{}
+	return out
+}
+
+// takeSent returns the request bytes since the last takeSent and
+// resets them.
+func (m *rpcMeter) takeSent() map[string]int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := m.sent
+	m.sent = map[string]int{}
 	return out
 }
 
@@ -90,9 +114,13 @@ func singleNodeModel(t *testing.T, full *dataset.Dataset, opt stream.Options) []
 
 // TestClusterFitTraffic pins the distributed fit's round trips per
 // shard: one count RPC per crossover round plus one per evaluation
-// batch (at most k+1 per generation and one more per restart for the
-// initial population), one cover RPC per restart and one for the
-// filter pass, and no row gather once the cuts at that φ are known.
+// batch, one cover RPC per restart and one for the filter pass, and no
+// row gather once the cuts at that φ are known. A generation takes at
+// most k+1 count RPCs, and the restarts advance in lockstep, sharing
+// each round's and each evaluation's RPC, so a fit sends at most k+1
+// per generation of its longest restart plus one for the initial
+// populations — and so, too, at most the sum over the restarts of
+// k+1 per generation plus one, the bound of restarts run one by one.
 func TestClusterFitTraffic(t *testing.T) {
 	full := testData(t, 600)
 	const phi, seed, restarts = 4, 5, 3
@@ -119,10 +147,12 @@ func TestClusterFitTraffic(t *testing.T) {
 		t.Fatalf("observed %d restart summaries, want %d", len(gens), restarts)
 	}
 	k := core.Advise(full.N(), phi, -3).K
-	bound := 0
+	bound, longest := 0, 0
 	for _, g := range gens {
 		bound += g*(k+1) + 1
+		longest = max(longest, g)
 	}
+	lockstep := longest*(k+1) + 1
 	for i, m := range meters {
 		calls := m.take()
 		if calls["cover"] != restarts+1 {
@@ -130,6 +160,10 @@ func TestClusterFitTraffic(t *testing.T) {
 		}
 		if calls["count"] == 0 || calls["count"] > bound {
 			t.Errorf("shard %d: %d count RPCs, want 1..%d (k=%d, generations %v)", i, calls["count"], bound, k, gens)
+		}
+		if calls["count"] > lockstep {
+			t.Errorf("shard %d: %d count RPCs, want at most %d for restarts in lockstep (k=%d, generations %v)",
+				i, calls["count"], lockstep, k, gens)
 		}
 		if calls["rows"] != 1 {
 			t.Errorf("shard %d: %d rows RPCs on the first fit, want 1", i, calls["rows"])

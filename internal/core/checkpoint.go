@@ -359,37 +359,36 @@ func newEvoCheckpointer(opt CheckpointOptions, fp string) *evoCheckpointer {
 	return &evoCheckpointer{opt: opt, fp: fp}
 }
 
-// restore rebuilds the search and population from a prior snapshot,
-// returning the generation to continue from, the stall counter, and
-// whether anything was restored. Every stored genome is validated
-// before any is used, and each member's position list is rebuilt from
-// its genome.
-func (cp *evoCheckpointer) restore(s *search, pop *evo.Population) (nextGen, stall int, ok bool, err error) {
+// restore rebuilds the search — its population, its generation and
+// stall counters — from a prior snapshot, and reports whether anything
+// was restored. Every stored genome is validated before any is used,
+// and each member's position list is rebuilt from its genome.
+func (cp *evoCheckpointer) restore(s *search) (ok bool, err error) {
 	cf, err := loadCheckpointFile(cp.opt.Path, "evo", cp.fp)
 	if err != nil || cf == nil {
-		return 0, 0, false, err
+		return false, err
 	}
-	st := cf.Evo
+	st, pop := cf.Evo, s.pop
 	if st == nil {
-		return 0, 0, false, fmt.Errorf("core: checkpoint %s has no evolutionary state", cp.opt.Path)
+		return false, fmt.Errorf("core: checkpoint %s has no evolutionary state", cp.opt.Path)
 	}
 	if len(st.Members) != pop.Len() || len(st.FitBits) != pop.Len() {
-		return 0, 0, false, fmt.Errorf("core: checkpoint population has %d members, want %d", len(st.Members), pop.Len())
+		return false, fmt.Errorf("core: checkpoint population has %d members, want %d", len(st.Members), pop.Len())
 	}
 	if st.RNG == ([4]uint64{}) {
-		return 0, 0, false, fmt.Errorf("core: checkpoint %s has a degenerate RNG state", cp.opt.Path)
+		return false, fmt.Errorf("core: checkpoint %s has a degenerate RNG state", cp.opt.Path)
 	}
 	if st.NextGen < 1 || st.Stall < 0 || st.Evals < 0 {
-		return 0, 0, false, fmt.Errorf("core: checkpoint %s has inconsistent counters", cp.opt.Path)
+		return false, fmt.Errorf("core: checkpoint %s has inconsistent counters", cp.opt.Path)
 	}
 	for i, mem := range st.Members {
 		if err := checkGenome(mem, s.src, s.opt.Dims); err != nil {
-			return 0, 0, false, fmt.Errorf("core: checkpoint %s: member %d %v", cp.opt.Path, i, err)
+			return false, fmt.Errorf("core: checkpoint %s: member %d %v", cp.opt.Path, i, err)
 		}
 	}
 	bs, err := decodeBest(cp.opt.Path, st.Best, s.opt.M, s.src, s.opt.Dims)
 	if err != nil {
-		return 0, 0, false, err
+		return false, err
 	}
 	for i, mem := range st.Members {
 		copy(pop.Members[i], mem)
@@ -403,26 +402,21 @@ func (cp *evoCheckpointer) restore(s *search, pop *evo.Population) (nextGen, sta
 	for _, me := range st.Memo {
 		s.cache[string(me.Key)] = fitEntry{sparsity: math.Float64frombits(me.SparBits), count: me.Count}
 	}
-	return st.NextGen, st.Stall, true, nil
-}
-
-// flush forces a final snapshot and reports the first error any write
-// hit.
-func (cp *evoCheckpointer) flush(s *search, pop *evo.Population, nextGen, stall int) error {
-	cp.snapshot(s, pop, nextGen, stall, true)
-	return cp.firstErr
+	s.gen, s.stall = st.NextGen, st.Stall
+	return true, nil
 }
 
 // snapshot writes the end-of-generation state when the interval has
-// elapsed (nextGen is the generation a resumed run continues with).
-func (cp *evoCheckpointer) snapshot(s *search, pop *evo.Population, nextGen, stall int, force bool) {
+// elapsed (s.gen is the generation a resumed run continues with).
+func (cp *evoCheckpointer) snapshot(s *search, force bool) {
 	if !force && time.Since(cp.lastWrite) < cp.opt.Interval {
 		return
 	}
+	pop := s.pop
 	n := pop.Len()
 	st := &evoState{
-		NextGen: nextGen,
-		Stall:   stall,
+		NextGen: s.gen,
+		Stall:   s.stall,
 		Evals:   s.evals,
 		RNG:     s.rng.State(),
 		Members: make([][]uint16, n),

@@ -3,7 +3,6 @@ package core
 import (
 	"hido/internal/bitset"
 	"hido/internal/cube"
-	"hido/internal/fanout"
 	"hido/internal/grid"
 )
 
@@ -35,8 +34,10 @@ type CountSource interface {
 	// directly.
 	CountKey(c cube.Cube, key string) int
 	// CountBatch counts several cubes at once (keys[i] == cs[i].Key()).
-	// workers is a parallelism hint for local sources; batching sources
-	// (the cluster fan-out) resolve the whole batch in one round trip.
+	// workers is a parallelism hint a local source may take; the
+	// evolutionary search counts a local batch in blocks on its own
+	// team and passes 1. Batching sources (the cluster fan-out)
+	// resolve the whole batch in one round trip.
 	CountBatch(cs []cube.Cube, keys []string, workers int) []int
 	// Cover returns the indices of the records inside the cube, in
 	// increasing order — the §2.3 postprocessing that turns retained
@@ -77,9 +78,9 @@ type Partial interface {
 // BatchSource is an optional extension of CountSource for sources
 // whose counts cost a round trip, such as the cluster fan-out. The
 // optimized crossover hands it every Partial.Extend of a round, across
-// all pairs of a generation, in one ExtendBatch call, and the §2.3
-// postprocessing hands it every cover of a pass in one CoverBatch.
-// Other sources are extended in place on the worker pool.
+// all pairs of a generation of every run, in one ExtendBatch call, and
+// the §2.3 postprocessing hands it every cover of a pass in one
+// CoverBatch. Other sources are extended in place on the search's team.
 type BatchSource interface {
 	CountSource
 	// ExtendBatch returns xs[i].P.Extend(xs[i].J, xs[i].R) for every
@@ -129,11 +130,11 @@ func (s detectorSource) CountKey(_ cube.Cube, key string) int {
 	return s.d.Index.CountKey(key)
 }
 
-func (s detectorSource) CountBatch(cs []cube.Cube, keys []string, workers int) []int {
+func (s detectorSource) CountBatch(cs []cube.Cube, keys []string, _ int) []int {
 	counts := make([]int, len(cs))
-	fanout.For(len(cs), workers, func(i int) {
+	for i := range cs {
 		counts[i] = s.CountKey(cs[i], keys[i])
-	})
+	}
 	return counts
 }
 

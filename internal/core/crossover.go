@@ -5,7 +5,6 @@ import (
 
 	"hido/internal/cube"
 	"hido/internal/evo"
-	"hido/internal/fanout"
 	"hido/internal/xrand"
 )
 
@@ -26,9 +25,10 @@ const (
 
 // xpair is one pair's crossover in progress. The optimized operator
 // (Figure 5) advances a round at a time: queue appends the counts the
-// round needs as Partial.Extend requests, and advance consumes them.
-// A pair's state lives on the search and is reused by the pair in the
-// same slot next generation, so steady state allocates nothing.
+// round needs as Partial.Extend requests, and advance consumes them,
+// so the pairs of every run in a lockstep can share each round's
+// batch. A pair's state lives on its search and is reused by the pair
+// in the same slot next generation, so steady state allocates nothing.
 //
 // The pair reads and writes only the positions either parent
 // constrains, found by merging the parents' position lists: the first
@@ -67,52 +67,64 @@ type xcand struct {
 	taken bool
 }
 
-// crossoverAll matches the population pairwise and replaces each pair
-// with its two children (Figure 5's outer loop). One RNG seed per pair
-// is drawn from the master stream before any pair runs, so each pair's
-// stochastic choices are independent of scheduling, and pairs write
-// disjoint population slots. A BatchSource receives each round's
-// extensions across all pairs in one call; any other source runs each
-// pair to completion on the worker pool. Either way every pair makes
-// the same choices from the same counts.
-func (s *search) crossoverAll(pop *evo.Population) {
-	pairs := pop.Pairs(s.rng)
+// startPairs matches the population pairwise and starts each pair's
+// crossover (Figure 5's outer loop). Every pair's RNG seed is drawn
+// from the run's master stream before any pair runs, so its choices do
+// not depend on scheduling, and pairs write disjoint member slots.
+func (s *search) startPairs() {
+	pairs := s.pop.Pairs(s.rng)
 	for len(s.pairs) < len(pairs) {
 		s.pairs = append(s.pairs, &xpair{s: s})
 	}
-	xs := s.pairs[:len(pairs)]
+	s.xs = s.pairs[:len(pairs)]
 	for i, pr := range pairs {
-		x := xs[i]
+		x := s.xs[i]
 		x.own = *xrand.New(s.rng.Uint64())
-		x.start(pop, pr[0], pr[1], &x.own)
+		x.start(s.pop, pr[0], pr[1], &x.own)
 	}
-	if bs, ok := s.src.(BatchSource); ok {
-		s.batchedRounds(bs, xs)
-	} else {
-		fanout.For(len(xs), s.workers, func(i int) { xs[i].run() })
-	}
-	for _, x := range xs {
+}
+
+// finishPairs writes the generation's children and counts their
+// evaluations.
+func (s *search) finishPairs() {
+	for _, x := range s.xs {
 		x.finish()
 		s.evals += x.evals
 	}
 }
 
+// recombine runs every run's pairs: a BatchSource gets each round's
+// extensions across all pairs in one ExtendBatch, and any other source
+// runs each pair to completion on the team. Either way every pair
+// makes the same choices from the same counts.
+func (l *lockstep) recombine() {
+	l.xs = l.xs[:0]
+	for _, s := range l.runs {
+		l.xs = append(l.xs, s.xs...)
+	}
+	if bs, ok := l.src.(BatchSource); ok {
+		l.batchedRounds(bs)
+	} else {
+		l.team.For(len(l.xs), func(i int) { l.xs[i].run() })
+	}
+}
+
 // batchedRounds advances all pairs together, one ExtendBatch per
 // round, until none has work left.
-func (s *search) batchedRounds(bs BatchSource, xs []*xpair) {
+func (l *lockstep) batchedRounds(bs BatchSource) {
 	for {
-		s.xreq, s.xend = s.xreq[:0], s.xend[:0]
-		for _, x := range xs {
-			s.xreq = x.queue(s.xreq)
-			s.xend = append(s.xend, len(s.xreq))
+		l.xreq, l.xend = l.xreq[:0], l.xend[:0]
+		for _, x := range l.xs {
+			l.xreq = x.queue(l.xreq)
+			l.xend = append(l.xend, len(l.xreq))
 		}
-		if len(s.xreq) == 0 {
+		if len(l.xreq) == 0 {
 			return
 		}
-		counts := bs.ExtendBatch(s.xreq)
+		counts := bs.ExtendBatch(l.xreq)
 		lo := 0
-		for i, x := range xs {
-			if hi := s.xend[i]; hi > lo {
+		for i, x := range l.xs {
+			if hi := l.xend[i]; hi > lo {
 				x.advance(counts[lo:hi])
 				lo = hi
 			}
@@ -414,7 +426,7 @@ func (x *xpair) twoPoint() {
 // to the right of a uniformly random cut point. Following the paper's
 // example (3*2*1 × 1*33* → 3*23* and 1*3*1), the cut falls strictly
 // inside the string. Children of the wrong dimensionality survive
-// into the population and are penalized by evaluateAll.
+// into the population and are penalized by queueMisses.
 func twoPoint(a, b evo.Genome, rng *xrand.RNG) {
 	d := len(a)
 	if d < 2 {

@@ -359,7 +359,7 @@ func TestCrossoverMatchesReference(t *testing.T) {
 }
 
 // TestCrossoverAllRounds runs whole generations through crossoverAll —
-// over the worker pool and in lockstep rounds behind a BatchSource —
+// on the lockstep's team and in rounds behind a BatchSource —
 // against the reference applied pair by pair, and checks the round
 // bounds: at most 64 Type II leaves per pair per round, at most 32
 // prefix partials per pair, and at most k rounds per generation when

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -79,22 +80,21 @@ type EvoOptions struct {
 	// differing Type II positions; beyond it each position is resolved
 	// greedily. The paper notes k' is typically small. Default 16.
 	TypeIIExhaustiveLimit int
-	// Workers is the size of the worker pool scoring each generation's
-	// population and recombining its pairs. Zero runs serially;
-	// negative selects GOMAXPROCS. Results are bit-for-bit identical
-	// at every worker count: each crossover pair gets a private RNG
-	// stream drawn serially from the master stream, fitness evaluation
-	// is batched and deduplicated before it fans out, and best-set
-	// offers happen in population order after the barrier.
+	// Workers is the size of the worker pool a generation fans out on,
+	// shared by every run restarts or islands advance. Zero runs
+	// serially; negative selects GOMAXPROCS. Results are bit-for-bit
+	// identical at every worker count: each crossover pair gets a
+	// private RNG stream drawn serially from its run's master stream,
+	// fitness evaluation is deduplicated before it fans out, and
+	// best-set offers happen in population order.
 	Workers int
 	// Seed drives all randomness; runs are reproducible per seed.
 	Seed uint64
 	// Observer, when set, receives structured per-generation events and
 	// a terminal run summary (see internal/obs). A nil observer costs
 	// zero allocations on the hot path, and an attached observer never
-	// changes the Result — it only reads derived snapshots. Restarts
-	// and islands deliver events from several goroutines, so
-	// implementations must be safe for concurrent use.
+	// changes the Result — it only reads derived snapshots. Events come
+	// from the calling goroutine, each generation's in run order.
 	Observer obs.Observer
 	// RunID labels this run's observer events and trace lines (default
 	// "evo"). Restarts and islands derive per-run IDs from it
@@ -106,7 +106,7 @@ type EvoOptions struct {
 	// fitness memo, the best set, and the master RNG stream state, so
 	// a resumed run follows the exact trajectory the dead process
 	// would have — bit-for-bit, at any worker count. Not supported
-	// under restarts or islands, which interleave several searches.
+	// under restarts or islands, which advance several searches.
 	Checkpoint *CheckpointOptions
 }
 
@@ -147,30 +147,37 @@ func (o EvoOptions) withDefaults() EvoOptions {
 	return o
 }
 
-// search carries the mutable state of one evolutionary run.
+// search carries the mutable state of one evolutionary run; lockstep
+// advances it, alone or beside other runs.
 type search struct {
-	src     CountSource
-	opt     EvoOptions
-	dims    []int      // searched dimensions (the bag, or all of them)
-	rng     *xrand.RNG // master stream: selection, pairing, mutation, per-pair seeds
-	bs      *evo.BestSet
-	cache   map[string]fitEntry // run-local fitness memo; also defines Evaluations
-	workers int
-	evals   int
-	// pairs holds the crossover state of each pair slot, reused across
-	// generations; xreq and xend collect a batched round's extensions
-	// and each pair's end offset into them.
-	pairs []*xpair
-	xreq  []Extension
-	xend  []int
-	// keyBuf holds the current generation's member keys back to back;
-	// member i's key ends at keyEnd[i]. evaluateAll builds them once
-	// and the memo, the count batch and the best-set offers share them.
+	src   CountSource
+	opt   EvoOptions
+	dims  []int      // searched dimensions (the bag, or all of them)
+	rng   *xrand.RNG // master stream: selection, pairing, mutation, per-pair seeds
+	bs    *evo.BestSet
+	cache map[string]fitEntry // run-local fitness memo; also defines Evaluations
+	evals int
+	pop   *evo.Population
+	// gen and stall count the generations done and those since the
+	// best set improved; improved and frac (its De Jong fraction)
+	// describe the latest one.
+	gen, stall int
+	improved   bool
+	frac       float64
+	cp         *evoCheckpointer // one-run searches only
+	err        error            // the last checkpoint write's
+	res        *Result          // set when the run stops
+	pairs, xs  []*xpair         // pair slots, reused; xs is this generation's prefix
+	// keyBuf holds the generation's member keys back to back; member
+	// i's key ends at keyEnd[i].
 	keyBuf []byte
 	keyEnd []int
-	// lastDistinct is the latest generation's distinct-genome count,
-	// maintained by evaluateAll only when the run is observed.
-	lastDistinct int
+	// cs and ks are the cubes the latest evaluation had never seen, and
+	// their keys; their counts start at lo in the lockstep's batch.
+	cs           []cube.Cube
+	ks           []string
+	lo           int
+	lastDistinct int // the latest distinct-genome count, kept when observed
 }
 
 type fitEntry struct {
@@ -182,13 +189,13 @@ type fitEntry struct {
 // opt must already carry its defaults.
 func newSearch(src CountSource, opt EvoOptions) *search {
 	return &search{
-		src:     src,
-		opt:     opt,
-		dims:    resolveDims(src.D(), opt.Dims),
-		rng:     xrand.New(opt.Seed),
-		bs:      evo.NewBestSet(opt.M),
-		cache:   make(map[string]fitEntry),
-		workers: fanout.Workers(opt.Workers),
+		src:   src,
+		opt:   opt,
+		dims:  resolveDims(src.D(), opt.Dims),
+		rng:   xrand.New(opt.Seed),
+		bs:    evo.NewBestSet(opt.M),
+		cache: make(map[string]fitEntry),
+		pop:   evo.NewPopulation(opt.PopSize, src.D()),
 	}
 }
 
@@ -222,77 +229,149 @@ func (d *Detector) Evolutionary(opt EvoOptions) (*Result, error) {
 // source sums per-shard cube counts. The trajectory depends on the
 // data only through counts, so any source that reports the counts of
 // the concatenated data reproduces the single-node Result bit for
-// bit.
+// bit. It is the one-run case of EvolutionaryRestartsOver, and the
+// only one that checkpoints.
 func EvolutionaryOver(src CountSource, opt EvoOptions) (*Result, error) {
-	if err := validateEvoOptions(src, opt); err != nil {
-		return nil, err
+	return EvolutionaryRestartsOver(src, opt, 1)
+}
+
+// lockstep advances searches over one source a generation at a time:
+// the one loop behind a single run, restarts and islands. Each run
+// draws from its own RNG and counts into its own memo, so it follows
+// the trajectory it would alone; the runs share a team of workers and,
+// over a BatchSource, every round trip: one ExtendBatch per crossover
+// round and one CountBatch per evaluation, for all runs together.
+type lockstep struct {
+	src    CountSource
+	team   *fanout.Team
+	runs   []*search   // the unfinished runs, in run order
+	xs     []*xpair    // every run's pairs of the generation
+	xreq   []Extension // a batched round's extensions
+	xend   []int       // each pair's end offset in xreq
+	cs     []cube.Cube // every run's misses, their keys and counts
+	ks     []string
+	counts []int
+}
+
+// newLockstep sets runs to advance together on a team of workers; the
+// caller closes the team.
+func newLockstep(src CountSource, workers int, runs []*search) *lockstep {
+	return &lockstep{src: src, team: fanout.NewTeam(workers), runs: slices.Clone(runs)}
+}
+
+// each runs phase on every unfinished run, the runs at once: a phase
+// touches only its own run's state.
+func (l *lockstep) each(phase func(s *search)) {
+	l.team.For(len(l.runs), func(i int) { phase(l.runs[i]) })
+}
+
+// seed scores a random initial population for every run.
+func (l *lockstep) seed() {
+	l.each(func(s *search) {
+		s.randomPopulation(s.pop)
+		s.queueMisses(s.pop)
+	})
+	l.count()
+	l.each(func(s *search) { s.score(s.pop, l.counts[s.lo:][:len(s.ks)]) })
+}
+
+// step advances every unfinished run one generation of Figure 3: each
+// run selects and starts its pairs from its own RNG, the pairs of all
+// runs recombine together, each run mutates and queues its misses, all
+// misses are counted together, and each run scores, offers to its best
+// set and measures its convergence. The caller then sends the events
+// and checks the stops in run order.
+func (l *lockstep) step() {
+	l.each(func(s *search) {
+		s.pop.Select(s.opt.Selection, s.rng)
+		s.startPairs()
+	})
+	l.recombine()
+	l.each(func(s *search) {
+		s.finishPairs()
+		s.mutateAll(s.pop)
+		s.queueMisses(s.pop)
+	})
+	l.count()
+	l.each(func(s *search) {
+		s.score(s.pop, l.counts[s.lo:][:len(s.ks)])
+		s.improved = s.offerAll(s.pop)
+		s.frac = s.pop.ConvergedFraction(0.95) // also the event's field
+	})
+}
+
+// count resolves every run's misses, in run order: over a BatchSource
+// in one CountBatch, one round trip; otherwise in blocks on the team.
+// Two runs may queue one cube; a memoizing source counts it once.
+func (l *lockstep) count() {
+	l.cs, l.ks = l.cs[:0], l.ks[:0]
+	for _, s := range l.runs {
+		s.lo = len(l.ks)
+		l.cs, l.ks = append(l.cs, s.cs...), append(l.ks, s.ks...)
 	}
-	opt = opt.withDefaults()
-	start := time.Now()
+	switch _, batch := l.src.(BatchSource); {
+	case len(l.cs) == 0:
+	case batch:
+		l.counts = l.src.CountBatch(l.cs, l.ks, 0)
+	default:
+		l.counts = slices.Grow(l.counts[:0], len(l.cs))[:len(l.cs)]
+		l.team.Blocks(len(l.cs), func(lo, hi int) {
+			copy(l.counts[lo:hi], l.src.CountBatch(l.cs[lo:hi], l.ks[lo:hi], 1))
+		})
+	}
+}
 
-	s := newSearch(src, opt)
-
-	pop := evo.NewPopulation(opt.PopSize, src.D())
-	var cp *evoCheckpointer
-	var err error
-	startGen, stall := 0, 0
-	restored := false
-	if copt := opt.Checkpoint; copt != nil && copt.Path != "" {
-		cp = newEvoCheckpointer(*copt, evoFingerprint(src, opt))
-		if copt.Resume {
-			startGen, stall, restored, err = cp.restore(s, pop)
-			if err != nil {
-				return nil, err
+// evolve advances the runs until each has stopped — after
+// MaxGenerations, once its population meets the De Jong criterion, or
+// after Patience generations without a best-set improvement — and
+// finishes each, in run order, in the generation it stops.
+func (l *lockstep) evolve(start time.Time) {
+	live := func(s *search) bool { return s.gen < s.opt.MaxGenerations }
+	for {
+		kept := l.runs[:0]
+		for _, s := range l.runs {
+			if live(s) {
+				kept = append(kept, s)
+			} else {
+				s.finish(start)
 			}
 		}
+		if l.runs = kept; len(kept) == 0 {
+			return
+		}
+		l.step()
+		live = (*search).conclude // from now on, the generation's checks
 	}
-	if !restored {
-		s.randomPopulation(pop)
-		s.evaluateAll(pop)
-	}
+}
 
-	res := &Result{}
-	gen := startGen
-	for ; gen < opt.MaxGenerations; gen++ {
-		pop.Select(opt.Selection, s.rng)
-		s.crossoverAll(pop)
-		s.mutateAll(pop)
-		s.evaluateAll(pop)
-		improved := s.offerAll(pop)
-		// The De Jong fraction doubles as the event's convergence field,
-		// so compute it once per generation.
-		frac := pop.ConvergedFraction(0.95)
-		s.notifyGeneration(pop, gen, frac)
-		if improved {
-			stall = 0
-		} else {
-			stall++
-		}
-		if cp != nil {
-			cp.snapshot(s, pop, gen+1, stall, false)
-		}
-		if frac >= 1 {
-			res.ConvergedDeJong = true
-			gen++
-			break
-		}
-		if opt.Patience > 0 && stall >= opt.Patience {
-			gen++
-			break
-		}
+// conclude ends the run's generation — its observer event, stall count
+// and checkpoint — and reports whether the run goes on.
+func (s *search) conclude() bool {
+	s.notifyGeneration(s.pop, s.gen, s.frac)
+	s.stall++
+	if s.improved {
+		s.stall = 0
 	}
+	s.gen++
+	if s.cp != nil {
+		s.cp.snapshot(s, false)
+	}
+	patience := s.opt.Patience > 0 && s.stall >= s.opt.Patience
+	return s.frac < 1 && !patience && s.gen < s.opt.MaxGenerations
+}
 
-	res.Generations = gen
-	res.Evaluations = s.evals
-	finalizeOver(src, s.bs, res)
-	res.Elapsed = time.Since(start)
-	notifySummary(opt.Observer, opt.RunID, "evo", res, false)
-	if cp != nil {
-		if err := cp.flush(s, pop, gen, stall); err != nil {
-			return res, err
-		}
+// finish builds the stopped run's Result with one cover pass, sends its
+// summary, writes its last checkpoint and drops its population and memo.
+func (s *search) finish(start time.Time) {
+	s.res = &Result{Generations: s.gen, Evaluations: s.evals, ConvergedDeJong: s.frac >= 1}
+	finalizeOver(s.src, s.bs, s.res)
+	s.res.Elapsed = time.Since(start)
+	notifySummary(s.opt.Observer, s.opt.RunID, "evo", s.res, false)
+	if s.cp != nil {
+		s.cp.snapshot(s, true)
+		s.err = s.cp.firstErr
 	}
-	return res, nil
+	s.pop, s.cache, s.pairs, s.xs, s.keyBuf, s.keyEnd, s.cs, s.ks = nil, nil, nil, nil, nil, nil, nil, nil
 }
 
 // randomGenome fills g with a uniform random k-dimensional projection
@@ -321,32 +400,22 @@ func (s *search) sparsityOf(n int) float64 {
 	return stats.Sparsity(n, s.src.N(), s.opt.K, s.src.Phi())
 }
 
-// evaluateAll scores every member of the population, filling
-// pop.Fitness. The batch is deduplicated serially against the
-// run-local memo — which also fixes Evaluations independent of the
-// worker count — and the surviving distinct cubes are counted by the
-// worker pool. Infeasible genomes (wrong dimensionality, possible
-// only under two-point crossover) receive +Inf, the worst value for
-// the minimizing search ("assigned very low fitness values", §2.2).
-//
-// Each member's key is built once, from its position list, into the
-// search's reused key buffer; memo lookups read it without allocating,
-// and only a cube the run has never seen gets a key string of its own.
-func (s *search) evaluateAll(pop *evo.Population) {
-	n := pop.Len()
+// queueMisses starts scoring the population: it builds each member's
+// key once, from its position list, into the key buffer, and queues in
+// cs and ks the cubes the run's memo lacks, deduplicated serially —
+// which fixes Evaluations at any worker count — with a placeholder
+// memo entry each until score fills it. Infeasible genomes (wrong
+// dimensionality, possible only under two-point crossover) get +Inf at
+// once, the worst value for the minimizing search ("assigned very low
+// fitness values", §2.2).
+func (s *search) queueMisses(pop *evo.Population) {
 	s.keyBuf, s.keyEnd = s.keyBuf[:0], s.keyEnd[:0]
 	for i, g := range pop.Members {
 		s.keyBuf = cube.Cube(g).AppendKeyAt(s.keyBuf, pop.Pos[i])
 		s.keyEnd = append(s.keyEnd, len(s.keyBuf))
 	}
-
-	// One source batch per generation: a local source fans the counts
-	// out on the worker pool; a remote source resolves them in a single
-	// round trip across the shards. A queued cube's memo entry is a
-	// placeholder until the batch returns, which also dedups the batch.
-	var cs []cube.Cube
-	var ks []string
-	for i := 0; i < n; i++ {
+	s.cs, s.ks = s.cs[:0], s.ks[:0]
+	for i := range pop.Members {
 		if _, ok := s.cache[string(s.memberKey(i))]; ok {
 			continue
 		}
@@ -356,17 +425,19 @@ func (s *search) evaluateAll(pop *evo.Population) {
 			continue
 		}
 		s.cache[key] = fitEntry{}
-		cs = append(cs, cube.Cube(pop.Members[i]))
-		ks = append(ks, key)
+		s.cs = append(s.cs, cube.Cube(pop.Members[i]))
+		s.ks = append(s.ks, key)
 		s.evals++
 	}
-	if len(cs) > 0 {
-		counts := s.src.CountBatch(cs, ks, s.workers)
-		for j, key := range ks {
-			s.cache[key] = fitEntry{sparsity: s.sparsityOf(counts[j]), count: counts[j]}
-		}
-	}
+}
 
+// score completes the evaluation queueMisses started, given the counts
+// of the queued cubes: it fills their memo entries, then pop.Fitness.
+func (s *search) score(pop *evo.Population, counts []int) {
+	for j, key := range s.ks {
+		s.cache[key] = fitEntry{sparsity: s.sparsityOf(counts[j]), count: counts[j]}
+	}
+	n := pop.Len()
 	for i := 0; i < n; i++ {
 		pop.Fitness[i] = s.cache[string(s.memberKey(i))].sparsity
 	}
@@ -384,7 +455,7 @@ func (s *search) evaluateAll(pop *evo.Population) {
 	}
 }
 
-// memberKey returns member i's key from the latest evaluateAll, a view
+// memberKey returns member i's key from the latest queueMisses, a view
 // into the key buffer valid until the next one.
 func (s *search) memberKey(i int) []byte {
 	start := 0
@@ -396,7 +467,7 @@ func (s *search) memberKey(i int) []byte {
 
 // offerAll submits the whole population to the best set in member
 // order and reports whether the set improved. It reads the member keys
-// of the evaluateAll that scored the population.
+// queueMisses built for the population.
 func (s *search) offerAll(pop *evo.Population) bool {
 	improved := false
 	for i := range pop.Members {

@@ -68,7 +68,28 @@ func TestMigrateThenSelectOwnsBuffers(t *testing.T) {
 			s.offerAll(pop)
 		}
 		if gen%3 == 2 {
-			migrate(islands, 2)
+			evo.Migrate(islands, 2)
 		}
 	}
+}
+
+// evaluateAll scores pop for one search through the lockstep's
+// evaluation phases, as a one-run generation does.
+func (s *search) evaluateAll(pop *evo.Population) {
+	s.queueMisses(pop)
+	l := newLockstep(s.src, s.opt.Workers, []*search{s})
+	defer l.team.Close()
+	l.count()
+	s.score(pop, l.counts[:len(s.ks)])
+}
+
+// crossoverAll recombines pop for one search through the lockstep's
+// crossover phases, as a one-run generation does.
+func (s *search) crossoverAll(pop *evo.Population) {
+	s.pop = pop
+	s.startPairs()
+	l := newLockstep(s.src, s.opt.Workers, []*search{s})
+	defer l.team.Close()
+	l.recombine()
+	s.finishPairs()
 }

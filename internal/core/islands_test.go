@@ -102,7 +102,7 @@ func TestMigrateRing(t *testing.T) {
 	b.Members[1], b.Fitness[1] = evo.Genome{5}, -4
 	b.Members[2], b.Fitness[2] = evo.Genome{6}, 1 // worst of b
 
-	migrate([]*evo.Population{a, b}, 1)
+	evo.Migrate([]*evo.Population{a, b}, 1)
 
 	// a's best (genome 1, fitness -10) replaced b's worst slot.
 	found := false

@@ -31,7 +31,7 @@ func finiteOr0(v float64) float64 {
 // it to the Observer. Without one it returns before computing
 // anything. converged is the generation's De Jong fraction, which the
 // caller already needs for its termination check; the distinct count
-// comes from evaluateAll's key pass.
+// comes from score's key pass.
 func (s *search) notifyGeneration(pop *evo.Population, gen int, converged float64) {
 	o := s.opt.Observer
 	if o == nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -129,9 +130,8 @@ func TestObserverDoesNotPerturbBruteForce(t *testing.T) {
 	}
 }
 
-// Restarts and islands deliver events from several goroutines into
-// ONE shared observer; under -race this is the concurrency-safety
-// hammer, and the results must still match the unobserved baseline.
+// Restarts and islands deliver every run's events into ONE shared
+// observer, and the results must still match the unobserved baseline.
 func TestObserverSharedAcrossRestartsAndIslands(t *testing.T) {
 	ds := plantedDataset(250, 7, 41)
 	det := NewDetector(ds, 4)
@@ -190,6 +190,70 @@ func TestObserverSharedAcrossRestartsAndIslands(t *testing.T) {
 		t.Error("islands: final summary missing")
 	} else if sum.Algo != "evo-islands" {
 		t.Errorf("islands: summary algo %q", sum.Algo)
+	}
+}
+
+// orderObserver records the event sequence: each generation event's
+// run, generation and evaluations, and each summary's run, algorithm,
+// evaluations and generations.
+type orderObserver struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (o *orderObserver) OnGeneration(e obs.GenerationEvent) {
+	o.add(fmt.Sprintf("gen %s %d %d", e.Run, e.Gen, e.Evaluations))
+}
+
+func (o *orderObserver) OnProgress(obs.ProgressEvent) {}
+
+func (o *orderObserver) OnDone(e obs.SummaryEvent) {
+	o.add(fmt.Sprintf("done %s %s %d %d", e.Run, e.Algo, e.Evaluations, e.Generations))
+}
+
+func (o *orderObserver) add(ev string) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.events = append(o.events, ev)
+}
+
+// Restarts and islands send their events from the calling goroutine in
+// run order each generation, so the whole sequence — not only each
+// run's own — is the same at every worker count.
+func TestObserverOrderAcrossWorkers(t *testing.T) {
+	det := NewDetector(plantedDataset(250, 7, 41), 4)
+	searches := map[string]func(workers int, o obs.Observer) error{
+		"restarts": func(workers int, o obs.Observer) error {
+			_, err := det.EvolutionaryRestarts(EvoOptions{K: 2, M: 6, Seed: 11, MaxGenerations: 30,
+				Patience: 8, Workers: workers, Observer: o}, 4)
+			return err
+		},
+		"islands": func(workers int, o obs.Observer) error {
+			_, err := det.EvolutionaryIslands(IslandOptions{Evo: EvoOptions{K: 2, M: 6, Seed: 13,
+				MaxGenerations: 25, PopSize: 30, Workers: workers, Observer: o}, Islands: 3, MigrateEvery: 4})
+			return err
+		},
+	}
+	for name, search := range searches {
+		var ref []string
+		for _, workers := range []int{1, 2, 8} {
+			o := &orderObserver{}
+			if err := search(workers, o); err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = o.events
+				continue
+			}
+			if !reflect.DeepEqual(o.events, ref) {
+				for i := range min(len(ref), len(o.events)) {
+					if o.events[i] != ref[i] {
+						t.Fatalf("%s workers=%d: event %d is %q, at one worker %q", name, workers, i, o.events[i], ref[i])
+					}
+				}
+				t.Fatalf("%s workers=%d: %d events, at one worker %d", name, workers, len(o.events), len(ref))
+			}
+		}
 	}
 }
 

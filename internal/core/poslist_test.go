@@ -104,7 +104,7 @@ func TestPositionListsIslandMigration(t *testing.T) {
 			generationChecked(t, fmt.Sprintf("gen %d island %d", gen, i), s, islands[i])
 		}
 		if gen%3 == 2 {
-			migrate(islands, 3)
+			evo.Migrate(islands, 3)
 			for i, pop := range islands {
 				checkPositionLists(t, fmt.Sprintf("gen %d island %d/migrate", gen, i), pop)
 			}
@@ -126,9 +126,9 @@ func TestPositionListsCheckpointResume(t *testing.T) {
 		opt = opt.withDefaults()
 		opt.Checkpoint.Resume = true
 		s := newSearch(det.Source(), opt)
-		pop := evo.NewPopulation(opt.PopSize, det.D())
+		pop := s.pop
 		cp := newEvoCheckpointer(*opt.Checkpoint, evoFingerprint(det.Source(), opt))
-		if _, _, ok, err := cp.restore(s, pop); err != nil || !ok {
+		if ok, err := cp.restore(s); err != nil || !ok {
 			t.Fatalf("%v: restore: ok=%v err=%v", xover, ok, err)
 		}
 		checkPositionLists(t, fmt.Sprintf("%v/restore", xover), pop)

@@ -7,7 +7,6 @@ import (
 
 	"hido/internal/bitset"
 	"hido/internal/cube"
-	"hido/internal/fanout"
 )
 
 // EvolutionaryRestarts runs the genetic search `restarts` times with
@@ -17,19 +16,12 @@ import (
 // qualifying projections — the paper's arrhythmia study collects every
 // projection with S ≤ −3 — union several runs.
 //
-// Restarts execute concurrently on opt.Workers goroutines (the budget
-// is split: surplus workers fan out inside each run's evaluator).
-// Results are merged in restart order and each run owns a derived
-// seed, so the outcome is identical at every worker count. An
-// opt.Observer does not serialize the restarts — it must be
-// concurrency-safe, and each restart labels its events with a derived
-// run ID ("evo.r0", "evo.r1", …); a final aggregate summary is
-// emitted under the parent ID. stream's fits pass Workers −1, so over
-// a local source their restarts run concurrently on GOMAXPROCS
-// workers. Over a BatchSource (the cluster fan-out) the restarts run
-// one after another whatever opt.Workers says: its shared RPC memo
-// then sees the same lookups in the same order on every run, so the
-// traffic of a fit is a pure function of the seed.
+// The restarts advance in lockstep on one pool of opt.Workers (see
+// lockstep). Each owns a derived seed, its memo and its stop, and has
+// one cover pass when it stops, so the outcome is identical at every
+// worker count and to restarts run one by one. Each labels its events
+// with a derived run ID ("evo.r0", "evo.r1", …); a final aggregate
+// summary is emitted under the parent ID.
 //
 // The merged result holds every distinct projection found (up to
 // restarts·M), sorted by ascending sparsity; Outliers is the union of
@@ -41,9 +33,8 @@ func (d *Detector) EvolutionaryRestarts(opt EvoOptions, restarts int) (*Result, 
 }
 
 // EvolutionaryRestartsOver is EvolutionaryRestarts against an
-// arbitrary CountSource (see EvolutionaryOver). The source is shared
-// by the concurrent restarts, so it must be safe for concurrent use; a
-// memoizing source provides its own cross-run reuse.
+// arbitrary CountSource (see EvolutionaryOver). One restart is the
+// single run: its Result as it is, and its checkpoint.
 func EvolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*Result, error) {
 	if restarts < 1 {
 		return nil, fmt.Errorf("core: restarts=%d must be positive", restarts)
@@ -51,37 +42,42 @@ func EvolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*R
 	if err := validateEvoOptions(src, opt); err != nil {
 		return nil, err
 	}
-	if opt.Checkpoint != nil {
+	if restarts > 1 && opt.Checkpoint != nil {
 		return nil, fmt.Errorf("core: checkpointing is not supported with restarts")
 	}
+	opt = opt.withDefaults()
 	start := time.Now()
-	concurrent := restarts
-	if _, ok := src.(BatchSource); ok {
-		concurrent = 1
-	}
-	outer, inner := fanout.Split(fanout.Workers(opt.Workers), concurrent)
 
-	runID := opt.RunID
-	if runID == "" {
-		runID = "evo"
-	}
-	results := make([]*Result, restarts)
-	errs := make([]error, restarts)
-	fanout.For(restarts, outer, func(r int) {
+	runs := make([]*search, restarts)
+	for r := range runs {
 		o := opt
 		// Derive well-separated seeds; 0x9e3779b97f4a7c15 is the 64-bit
 		// golden-ratio increment, so successive restarts never collide.
 		o.Seed = opt.Seed + uint64(r)*0x9e3779b97f4a7c15
-		o.Workers = inner
 		if restarts > 1 {
-			o.RunID = fmt.Sprintf("%s.r%d", runID, r)
+			o.RunID = fmt.Sprintf("%s.r%d", opt.RunID, r)
 		}
-		results[r], errs[r] = EvolutionaryOver(src, o)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		runs[r] = newSearch(src, o)
+	}
+	restored := false
+	if copt := opt.Checkpoint; copt != nil && copt.Path != "" {
+		s := runs[0]
+		s.cp = newEvoCheckpointer(*copt, evoFingerprint(src, opt))
+		if copt.Resume {
+			var err error
+			if restored, err = s.cp.restore(s); err != nil {
+				return nil, err
+			}
 		}
+	}
+	l := newLockstep(src, opt.Workers, runs)
+	defer l.team.Close()
+	if !restored {
+		l.seed()
+	}
+	l.evolve(start)
+	if restarts == 1 {
+		return runs[0].res, runs[0].err
 	}
 
 	merged := &Result{
@@ -89,7 +85,8 @@ func EvolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*R
 		ConvergedDeJong: true,
 	}
 	seen := map[string]bool{}
-	for _, res := range results {
+	for _, s := range runs {
+		res := s.res
 		merged.Evaluations += res.Evaluations
 		merged.Generations += res.Generations
 		merged.ConvergedDeJong = merged.ConvergedDeJong && res.ConvergedDeJong
@@ -108,11 +105,9 @@ func EvolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*R
 		return merged.Projections[a].Sparsity < merged.Projections[b].Sparsity
 	})
 	merged.Outliers = merged.OutlierSet.Indices()
-	if restarts > 1 {
-		// Each restart already emitted its own summary; this is the
-		// aggregate record for the whole union.
-		notifySummary(opt.Observer, runID, "evo-restarts", merged, false)
-	}
+	// Each restart already emitted its own summary; this is the
+	// aggregate record for the whole union.
+	notifySummary(opt.Observer, opt.RunID, "evo-restarts", merged, false)
 	return merged, nil
 }
 

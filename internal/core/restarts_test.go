@@ -255,8 +255,8 @@ func TestMinimalExplanationsDropDominated(t *testing.T) {
 }
 
 // overlapProbe is a BatchSource that records the most of its batch
-// calls ever in flight at once. Each call lingers briefly, so restarts
-// running side by side on two or more cores would overlap.
+// calls ever in flight at once. Each call lingers briefly, so batches
+// sent side by side on two or more cores would overlap.
 type overlapProbe struct {
 	roundSource
 	inFlight, most atomic.Int32
@@ -281,10 +281,11 @@ func (p *overlapProbe) ExtendBatch(xs []Extension) []int {
 	return p.roundSource.ExtendBatch(xs)
 }
 
-// Over a BatchSource the restarts run one after another even when
-// Workers asks for every core, so a memoizing remote source sees one
-// lookup order; the result is the one a local source gives.
-func TestRestartsOverBatchSourceRunSerially(t *testing.T) {
+// Over a BatchSource the restarts advance in lockstep, one batch call
+// at a time even when Workers asks for every core, so a memoizing
+// remote source sees one lookup order; the result is the one a local
+// source gives.
+func TestRestartsOverBatchSourceOneBatchAtATime(t *testing.T) {
 	det := NewDetector(plantedDataset(300, 8, 32), 4)
 	opt := EvoOptions{K: 2, M: 10, Seed: 5, Workers: -1, MaxGenerations: 20}
 	want, err := det.EvolutionaryRestarts(opt, 3)

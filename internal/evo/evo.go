@@ -305,6 +305,47 @@ func (pop *Population) Pairs(rng *xrand.RNG) [][2]int {
 	return out
 }
 
+// Migrate copies each population's best `migrants` members over the
+// next one's worst members — the ring of an island model — rebuilding
+// each immigrant's position list from its genome.
+func Migrate(islands []*Population, migrants int) {
+	order := make([][]int, len(islands))
+	for i, pop := range islands {
+		idx := make([]int, pop.Len())
+		for m := range idx {
+			idx[m] = m
+		}
+		sort.SliceStable(idx, func(a, b int) bool {
+			return pop.Fitness[idx[a]] < pop.Fitness[idx[b]]
+		})
+		order[i] = idx
+	}
+	// Collect emigrants first so a member is never overwritten before
+	// being copied out.
+	type emigrant struct {
+		genome  Genome
+		fitness float64
+	}
+	out := make([][]emigrant, len(islands))
+	for i, pop := range islands {
+		for m := 0; m < migrants && m < pop.Len(); m++ {
+			src := order[i][m]
+			out[i] = append(out[i], emigrant{pop.Members[src].Clone(), pop.Fitness[src]})
+		}
+	}
+	for i := range islands {
+		dst := islands[(i+1)%len(islands)]
+		dstOrder := order[(i+1)%len(islands)]
+		for m, em := range out[i] {
+			// replace the destination's worst members
+			slot := dstOrder[len(dstOrder)-1-m]
+			dst.Members[slot] = em.genome
+			dst.Fitness[slot] = em.fitness
+			dst.Reindex(slot)
+		}
+	}
+}
+
 // ConvergedFraction returns the fraction of gene positions at which at
 // least threshold of the population share one value. It reads the
 // position lists, so it costs O(p·k·log(p·k)), not O(p·d): a position

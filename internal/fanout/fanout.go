@@ -1,13 +1,15 @@
 // Package fanout runs independent work items on a bounded set of
 // goroutines and returns once all of them are done. It is the
-// program's one worker pool. The fit path fans restarts, islands,
-// ensemble members, pairs, count batches and brute-force subtrees out
-// with For, and grid construction splits columns, rows and dimensions
-// into contiguous Blocks. The serving path scores a batch's row chunks,
-// the kNN baseline its records, and the cluster coordinator its
-// per-peer RPCs through For too.
+// program's one worker pool. The fit path fans ensemble members and
+// brute-force subtrees out with For, and grid construction splits
+// columns, rows and dimensions into contiguous Blocks. An evolutionary
+// search runs its many short loops per generation — the runs' phases,
+// the crossover pairs, the count blocks — on a Team, which keeps its
+// helpers awake between them. The serving path scores a batch's row
+// chunks, the kNN baseline its records, and the cluster coordinator
+// its per-peer RPCs through For too.
 //
-// Neither helper orders the calls, so callers keep determinism by
+// None of them orders the calls, so callers keep determinism by
 // making every item independent and writing disjoint outputs.
 package fanout
 
@@ -31,7 +33,8 @@ func Workers(w int) int {
 
 // Split divides a budget of w workers between n concurrent items:
 // outer items run at once, and each gets inner workers of its own for
-// the work inside it.
+// the work inside it. The ensemble splits its budget between members
+// this way.
 func Split(w, n int) (outer, inner int) {
 	outer = max(min(w, n), 1)
 	return outer, max(w/outer, 1)

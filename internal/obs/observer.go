@@ -54,12 +54,14 @@ type SummaryEvent struct {
 	Elapsed         time.Duration
 }
 
-// Observer receives search progress. Implementations must be safe for
-// concurrent use: restarts, islands and brute-force heartbeats deliver
-// events from multiple goroutines, distinguished by the Run field.
-// Observers must treat events as read-only snapshots; nothing an
-// observer does can influence the search, so results stay bit-identical
-// with or without one attached.
+// Observer receives search progress. An evolutionary search — one run,
+// restarts or islands — delivers its events from the calling goroutine
+// in a fixed order, each generation's in run order, distinguished by
+// the Run field. Brute-force heartbeats and ensemble members deliver
+// from several goroutines, so implementations must be safe for
+// concurrent use. Observers must treat events as read-only snapshots;
+// nothing an observer does can influence the search, so results stay
+// bit-identical with or without one attached.
 type Observer interface {
 	// OnGeneration is delivered once per evolutionary generation.
 	OnGeneration(GenerationEvent)
