@@ -426,11 +426,8 @@ func (co *Coordinator) TopN(ctx context.Context, model string, mon *stream.Monit
 		answered++
 		rows += resps[i].Rows
 		for _, it := range resps[i].Items {
-			entries = append(entries, server.TopNEntry{
-				Index:   shards[i].offset + it.Index,
-				Score:   it.Score,
-				Flagged: it.Flagged,
-			})
+			it.Index += shards[i].offset
+			entries = append(entries, it)
 		}
 	}
 	if answered < co.cfg.Quorum {

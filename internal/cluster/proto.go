@@ -28,6 +28,7 @@ import (
 	"hido/internal/cube"
 	"hido/internal/discretize"
 	"hido/internal/obs"
+	"hido/internal/server"
 )
 
 // Frame layout: 4-byte magic, 1-byte message type, 4-byte big-endian
@@ -641,13 +642,10 @@ func (m *topNReq) decode(p []byte) error {
 	return d.err()
 }
 
-// topNItem is one candidate outlier: the shard-local row index, its
-// alert score, and whether any projection matched.
-type topNItem struct {
-	Index   int
-	Score   float64
-	Flagged bool
-}
+// topNItem is one candidate outlier as the single-node ranker gives
+// it: the shard-local row index, its alert score, and whether any
+// projection matched.
+type topNItem = server.TopNEntry
 
 type topNResp struct {
 	Rows  int // shard's total row count (for the merged response)

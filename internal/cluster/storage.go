@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -12,7 +13,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -22,6 +22,7 @@ import (
 	"hido/internal/grid"
 	"hido/internal/metrics"
 	"hido/internal/obs"
+	"hido/internal/server"
 	"hido/internal/stream"
 )
 
@@ -458,27 +459,13 @@ func (st *Storage) rpcTopN(payload []byte) ([]byte, error) {
 		return nil, rpcErrorf(http.StatusConflict,
 			"cluster: model has %d dims, shard has %d", mon.D(), st.ds.D())
 	}
-	n := st.ds.N()
-	items := make([]topNItem, n)
-	sc := mon.NewScorer()
-	for i := 0; i < n; i++ {
-		a := sc.Score(st.ds.RowView(i))
-		items[i] = topNItem{Index: i, Score: a.Score, Flagged: a.Flagged()}
+	// The single-node ranker over the shard's rows: the coordinator
+	// merges with the same comparator, which makes the merge exact.
+	res, err := server.NewDatasetTopN(st.ds, 1).TopN(context.TODO(), req.ModelFP, mon, req.N)
+	if err != nil {
+		return nil, err
 	}
-	// Most outlying first: ascending score (sparsity coefficients are
-	// negative for outliers), row index as the stable tie-break — the
-	// same comparator the coordinator merges with and the single-node
-	// top-n sorts with, which is what makes the merge exact.
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].Score != items[b].Score {
-			return items[a].Score < items[b].Score
-		}
-		return items[a].Index < items[b].Index
-	})
-	if req.N < len(items) {
-		items = items[:req.N]
-	}
-	resp := topNResp{Rows: n, Items: items}
+	resp := topNResp{Rows: res.Rows, Items: res.Results}
 	return resp.encode(), nil
 }
 

@@ -48,21 +48,6 @@ func NewDetectorMethod(ds *dataset.Dataset, phi int, method discretize.Method) *
 	return &Detector{Data: ds, Grid: g, Index: grid.Build(g)}
 }
 
-// NewDetectorFromGrid binds a dataset to an externally built grid — the
-// streaming refit path, where the boundaries come from online quantile
-// sketches (discretize.Apply over Sketch.Cuts) instead of the full
-// sorted pass Fit performs. The grid must be bound to the dataset
-// itself: build it with discretize.Apply, not FromCuts.
-func NewDetectorFromGrid(ds *dataset.Dataset, g *discretize.Grid) *Detector {
-	if g.N != ds.N() || g.D != ds.D() {
-		panic(fmt.Sprintf("core: grid is %dx%d, dataset is %dx%d", g.N, g.D, ds.N(), ds.D()))
-	}
-	if g.Data() != ds {
-		panic("core: grid is bound to another dataset")
-	}
-	return &Detector{Data: ds, Grid: g, Index: grid.Build(g)}
-}
-
 // N returns the number of records.
 func (d *Detector) N() int { return d.Grid.N }
 

@@ -9,6 +9,7 @@ import (
 	"hido/internal/cube"
 	"hido/internal/dataset"
 	"hido/internal/discretize"
+	"hido/internal/grid"
 	"hido/internal/synth"
 	"hido/internal/xrand"
 )
@@ -216,7 +217,8 @@ func TestMetamorphicRowDuplication(t *testing.T) {
 		}
 		det := NewDetector(ds, p.Phi)
 		doubled := ds.SelectRows(twice)
-		ddet := NewDetectorFromGrid(doubled, discretize.Apply(doubled, p.Phi, det.Grid.AllCuts()))
+		dgrid := discretize.Apply(doubled, p.Phi, det.Grid.AllCuts())
+		ddet := &Detector{Data: doubled, Grid: dgrid, Index: grid.Build(dgrid)}
 		for j := 0; j < det.D(); j++ {
 			for rg := uint16(1); int(rg) <= p.Phi; rg++ {
 				c := cube.New(det.D()).With(j, rg)

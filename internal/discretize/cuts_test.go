@@ -8,9 +8,9 @@ import (
 	"hido/internal/xrand"
 )
 
-// sortedEquiDepthCuts is the oracle for equiDepthCuts and the sketch's
-// exact mode: the full-sort placement the package used before
-// multi-selection, with the shared finite clamp as its one change.
+// sortedEquiDepthCuts is the oracle for equiDepthCuts: the full-sort
+// placement the package used before multi-selection, with the shared
+// finite clamp as its one change.
 func sortedEquiDepthCuts(col []float64, phi int) []float64 {
 	clean := make([]float64, 0, len(col))
 	for _, v := range col {

@@ -216,8 +216,8 @@ func TestRangeBoundsPanics(t *testing.T) {
 	}
 }
 
-// TestCheckPhi pins the one φ bound every fit, grid, sketch and model
-// check uses: [2, 65 535], the most ranges a uint16 cell can name.
+// TestCheckPhi pins the one φ bound every fit, grid and model check
+// uses: [2, 65 535], the most ranges a uint16 cell can name.
 func TestCheckPhi(t *testing.T) {
 	for _, phi := range []int{math.MinInt, -1, 0, 1, math.MaxUint16 + 1, math.MaxInt} {
 		if CheckPhi(phi) == nil {
@@ -233,9 +233,8 @@ func TestCheckPhi(t *testing.T) {
 	ds := uniformDS(10, 2, 6)
 	for _, phi := range []int{1, math.MaxUint16 + 1} {
 		for name, fn := range map[string]func(){
-			"Fit":         func() { Fit(ds, phi, EquiDepth) },
-			"FromCuts":    func() { FromCuts(phi, [][]float64{{}}) },
-			"Sketch.Cuts": func() { NewSketch().Cuts(phi) },
+			"Fit":      func() { Fit(ds, phi, EquiDepth) },
+			"FromCuts": func() { FromCuts(phi, [][]float64{{}}) },
 		} {
 			func() {
 				defer func() {

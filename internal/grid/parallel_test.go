@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hido/internal/bitset"
@@ -118,17 +119,15 @@ func TestRangeIndexMatchesAssign(t *testing.T) {
 		for i := range ties {
 			ties[i] = float64(r.Intn(5)) - 2
 		}
-		sk := discretize.NewSketchCap(32)
-		for i := 0; i < 5000; i++ {
-			sk.Add(r.Norm())
+		ascending := make([]float64, phi-1)
+		for i := range ascending {
+			ascending[i] = r.Norm()
 		}
-		if sk.Retained() >= sk.N() {
-			t.Fatal("sketch did not compact")
-		}
+		slices.Sort(ascending)
 		grids := map[string]*discretize.Grid{
 			"equi-depth ties":  discretize.Fit(column(ties...), phi, discretize.EquiDepth),
 			"equi-depth ±Inf":  discretize.Fit(column(-inf, 1, 2, inf, inf, nan), phi, discretize.EquiDepth),
-			"sketch":           discretize.FromCuts(phi, [][]float64{sk.Cuts(phi)}),
+			"ascending":        discretize.FromCuts(phi, [][]float64{ascending}),
 			"equi-width":       discretize.Fit(column(-3, 0.25, 7, nan), phi, discretize.EquiWidth),
 			"equi-width +Inf":  discretize.Fit(column(1, inf), phi, discretize.EquiWidth),
 			"equi-width NaN":   discretize.Fit(column(-inf, 1), phi, discretize.EquiWidth),

@@ -26,8 +26,9 @@ type ingestResponse struct {
 	RefitErrs uint64 `json:"refit_errors"`
 	// Refitting reports whether a background refit is in flight now.
 	Refitting bool `json:"refitting"`
-	// Drift is the sketch-vs-grid divergence measured at the last refit
-	// snapshot (the live value is on /metrics as hidod_ingest_drift).
+	// Drift is the divergence of the last refit's window from the grid
+	// that refit replaced, each cut's rank counted exactly (the live
+	// value is on /metrics as hidod_ingest_drift).
 	Drift   float64               `json:"drift"`
 	Results []stream.RecordResult `json:"results"`
 }

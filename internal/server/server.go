@@ -317,7 +317,7 @@ func New(cfg Config) *Server {
 			"Completed background refits from ingested windows, by model and outcome.",
 			"model", "outcome"),
 		mIngestDrift: reg.Gauge("hidod_ingest_drift",
-			"Live sketch-vs-grid quantile divergence between each model's buffered window and its serving grid, refreshed at scrape time.",
+			"Live divergence between each serving grid cut's exact rank in the model's buffered window and its equi-depth target, refreshed at scrape time.",
 			"model"),
 		mIngestWindow: reg.Gauge("hidod_ingest_window_rows",
 			"Records currently buffered in each model's sliding reference window.",

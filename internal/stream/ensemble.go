@@ -74,13 +74,6 @@ type memberModel struct {
 // retention threshold, and calibrate each member's evidence
 // distribution so serving can reproduce the fit-time combine.
 func (m *Monitor) refitEnsemble(reference *dataset.Dataset, det *core.Detector) error {
-	// Same up-front shape check as Refit: never start Members expensive
-	// searches on a window the final swap would reject anyway. (Refit
-	// already checked, but refitDetector callers can reach here with a
-	// detector built off-lock.)
-	if err := m.checkDims(det.D()); err != nil {
-		return err
-	}
 	eo := m.opt.Ensemble
 	algo, err := ensemble.ParseAlgo(eo.Algo)
 	if err != nil {

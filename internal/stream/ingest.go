@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hido/internal/core"
 	"hido/internal/dataset"
 	"hido/internal/discretize"
 )
@@ -22,50 +21,34 @@ var ErrIngestDisabled = errors.New("stream: ingest not enabled on this monitor")
 // the model refits from it.
 type IngestOptions struct {
 	// Window is the maximum number of buffered records (required, > 0).
-	// Records beyond it expire oldest-epoch-first.
+	// The window holds the last Window records ingested; its memory
+	// grows with the records it holds, not with Window.
 	Window int
 	// RefitEvery triggers a background refit after this many ingested
 	// records (required, > 0).
 	RefitEvery int
-	// Epochs is the ring granularity: the window is stored as this many
-	// fixed-size epochs, and expiry drops whole epochs (default 8).
-	Epochs int
-	// SketchCap is the per-dimension quantile-sketch capacity (default
-	// discretize.DefaultSketchCap). Windows up to this size per epoch
-	// get exact boundaries; larger ones trade memory for bounded rank
-	// error (see discretize.Sketch).
-	SketchCap int
 	// OnRefit, when set, observes every background refit attempt —
 	// success or failure — after the model swap (or the abort). Called
 	// from the refit goroutine; keep it cheap and non-blocking.
 	OnRefit func(RefitResult)
 }
 
-func (o IngestOptions) withDefaults() (IngestOptions, error) {
+func (o IngestOptions) validate() error {
 	if o.Window <= 0 {
-		return o, fmt.Errorf("stream: ingest window %d must be positive", o.Window)
+		return fmt.Errorf("stream: ingest window %d must be positive", o.Window)
 	}
 	if o.RefitEvery <= 0 {
-		return o, fmt.Errorf("stream: refit-every %d must be positive", o.RefitEvery)
+		return fmt.Errorf("stream: refit-every %d must be positive", o.RefitEvery)
 	}
-	if o.Epochs == 0 {
-		o.Epochs = 8
-	}
-	if o.Epochs < 1 {
-		return o, fmt.Errorf("stream: ingest epochs %d must be positive", o.Epochs)
-	}
-	if o.SketchCap == 0 {
-		o.SketchCap = discretize.DefaultSketchCap
-	}
-	return o, nil
+	return nil
 }
 
 // RefitResult reports one background refit attempt to OnRefit.
 type RefitResult struct {
 	// Rows is how many buffered records the refit window held.
 	Rows int
-	// Drift is the sketch-vs-grid quantile divergence measured against
-	// the model the refit replaced — the signal that made (or would have
+	// Drift is Monitor.Drift's divergence of the refit's window from the
+	// model the refit replaced — the signal that made (or would have
 	// made) the refit worthwhile.
 	Drift float64
 	// Err is nil when the new model was swapped in.
@@ -76,50 +59,33 @@ type RefitResult struct {
 type IngestStats struct {
 	// WindowRows is the number of currently buffered records.
 	WindowRows int
-	// Epochs is the current ring length (including the active epoch).
-	Epochs int
 	// SinceRefit counts records ingested since the last refit snapshot.
 	SinceRefit int
 	// Refits and RefitErrs count completed background refits.
 	Refits, RefitErrs uint64
-	// Drift is the divergence measured at the last refit snapshot (see
+	// Drift is the divergence of the last refit's window (see
 	// Monitor.Drift for a live value).
 	Drift float64
 	// Refitting reports whether a background refit is in flight.
 	Refitting bool
 }
 
-// epoch is one segment of the ring: a row-major block of buffered
-// records plus the per-dimension quantile sketches summarizing them.
-// Sketches travel with their epoch so expiring the epoch forgets its
-// contribution to the window's boundaries exactly.
-type epoch struct {
-	vals     []float64 // row-major rows×d
-	rows     int
-	sketches []*discretize.Sketch
-}
-
-func newEpoch(d, sketchCap, rowCap int) *epoch {
-	e := &epoch{vals: make([]float64, 0, rowCap*d), sketches: make([]*discretize.Sketch, d)}
-	for j := range e.sketches {
-		e.sketches[j] = discretize.NewSketchCap(sketchCap)
-	}
-	return e
-}
-
 // ingestState is the mutable half of continuous ingestion, guarded by
 // its own mutex so buffer appends never contend with scoring (which
 // only touches the monitor's model lock).
 type ingestState struct {
-	opt       IngestOptions
-	d         int
-	epochSize int
+	opt IngestOptions
+	d   int
 
-	mu         sync.Mutex
-	epochs     []*epoch // oldest first; the last is the active one
-	rows       int      // total buffered records
+	mu sync.Mutex
+	// ring holds the last rows records row-major. It grows by append
+	// until it holds Window records; from then on each record
+	// overwrites the oldest, which starts at row next.
+	ring       []float64
+	rows       int
+	next       int
 	sinceRefit int
-	drift      float64 // divergence at the last refit snapshot
+	drift      float64 // divergence of the last refit's window
 	refits     uint64
 	refitErrs  uint64
 
@@ -133,18 +99,10 @@ type ingestState struct {
 // mode. It can be called once per monitor; the window starts empty —
 // the current model keeps serving until the first background refit.
 func (m *Monitor) EnableIngest(opt IngestOptions) error {
-	opt, err := opt.withDefaults()
-	if err != nil {
+	if err := opt.validate(); err != nil {
 		return err
 	}
-	d := m.D()
-	ing := &ingestState{
-		opt:       opt,
-		d:         d,
-		epochSize: (opt.Window + opt.Epochs - 1) / opt.Epochs,
-	}
-	ing.epochs = append(ing.epochs, newEpoch(d, opt.SketchCap, ing.epochSize))
-	if !m.ingest.CompareAndSwap(nil, ing) {
+	if !m.ingest.CompareAndSwap(nil, &ingestState{opt: opt, d: m.D()}) {
 		return errors.New("stream: ingest already enabled")
 	}
 	return nil
@@ -206,26 +164,19 @@ func (m *Monitor) IngestBatch(ctx context.Context, ds *dataset.Dataset, workers 
 	return out, nil
 }
 
-// appendLocked adds one record to the active epoch, sealing it when
-// full and expiring whole epochs once the window overflows. Caller
-// holds ing.mu.
+// appendLocked adds one record to the window, in place of the oldest
+// once the window is full. Caller holds ing.mu.
 func (ing *ingestState) appendLocked(record []float64) {
-	active := ing.epochs[len(ing.epochs)-1]
-	active.vals = append(active.vals, record...)
-	for j, v := range record {
-		active.sketches[j].Add(v)
+	if ing.rows < ing.opt.Window {
+		ing.ring = append(ing.ring, record...)
+		ing.rows++
+	} else {
+		copy(ing.ring[ing.next*ing.d:], record)
+		if ing.next++; ing.next == ing.rows {
+			ing.next = 0
+		}
 	}
-	active.rows++
-	ing.rows++
 	ing.sinceRefit++
-	if active.rows >= ing.epochSize {
-		ing.epochs = append(ing.epochs, newEpoch(ing.d, ing.opt.SketchCap, ing.epochSize))
-	}
-	for len(ing.epochs) > 1 && ing.rows > ing.opt.Window {
-		ing.rows -= ing.epochs[0].rows
-		ing.epochs[0] = nil
-		ing.epochs = ing.epochs[1:]
-	}
 }
 
 // IngestStats snapshots the ingestion state (zero value when ingest is
@@ -239,7 +190,6 @@ func (m *Monitor) IngestStats() IngestStats {
 	defer ing.mu.Unlock()
 	return IngestStats{
 		WindowRows: ing.rows,
-		Epochs:     len(ing.epochs),
 		SinceRefit: ing.sinceRefit,
 		Refits:     ing.refits,
 		RefitErrs:  ing.refitErrs,
@@ -250,49 +200,44 @@ func (m *Monitor) IngestStats() IngestStats {
 
 // Drift measures how far the buffered window has slid from the serving
 // model: the mean absolute difference, over dimensions and interior
-// grid boundaries, between each boundary's rank in the window (per the
-// epoch sketches) and its equi-depth target r/phi. Zero means the
-// model's grid still splits the window into equal-depth ranges; the
-// theoretical maximum approaches (phi−1)/(2·phi)… in practice values
-// above ~1/phi mean whole ranges have drained or flooded.
+// grid boundaries, between each boundary's rank in the window (the
+// fraction of the dimension's non-missing window values at or below
+// it) and its equi-depth target r/phi. Zero means the model's grid
+// still splits the window into equal-depth ranges; the theoretical
+// maximum approaches (phi−1)/(2·phi)… in practice values above ~1/phi
+// mean whole ranges have drained or flooded.
 func (m *Monitor) Drift() float64 {
 	ing := m.ingest.Load()
 	if ing == nil {
 		return 0
 	}
-	m.mu.RLock()
-	g := m.grid
-	m.mu.RUnlock()
-	if g == nil {
-		return 0
-	}
+	g := m.snapshot().grid
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	return driftLocked(g, ing.epochs)
+	return drift(g, ing.ring)
 }
 
-// driftLocked computes the sketch-vs-grid divergence over the live
-// epochs. The combined rank of a boundary across epochs is the
-// record-weighted mean of the per-epoch sketch ranks — exactly the
-// rank a merged sketch would report, without mutating anything.
-func driftLocked(g *discretize.Grid, epochs []*epoch) float64 {
+// drift is Drift's divergence of the row-major records vals from grid
+// g. Every rank is exact: a value lies at or below boundary r exactly
+// when its range is r or lower, so one range count per dimension gives
+// every boundary's rank.
+func drift(g *discretize.Grid, vals []float64) float64 {
+	n := len(vals) / g.D
+	hist := make([]int, g.Phi+1) // hist[0] counts missing values
 	total, count := 0.0, 0
 	for j := 0; j < g.D; j++ {
-		var n float64
-		for _, e := range epochs {
-			n += float64(e.sketches[j].N())
+		clear(hist)
+		for i := j; i < len(vals); i += g.D {
+			hist[g.AssignValue(j, vals[i])]++
 		}
-		if n == 0 {
+		present := n - hist[0]
+		if present == 0 {
 			continue
 		}
-		cuts := g.Cuts(j)
+		below := 0
 		for r := 1; r < g.Phi; r++ {
-			var below float64
-			for _, e := range epochs {
-				sk := e.sketches[j]
-				below += sk.Rank(cuts[r-1]) * float64(sk.N())
-			}
-			total += math.Abs(below/n - float64(r)/float64(g.Phi))
+			below += hist[r]
+			total += math.Abs(float64(below)/float64(present) - float64(r)/float64(g.Phi))
 			count++
 		}
 	}
@@ -340,20 +285,38 @@ func (m *Monitor) WaitIngest() {
 	}
 }
 
-// runWindowRefit performs one refit attempt end to end: snapshot the
-// window, fit off-lock, swap, book-keep, notify. Panics in the fit are
-// converted to errors so a poisoned window cannot kill the process —
-// the old model keeps serving.
+// runWindowRefit performs one refit attempt end to end. It copies the
+// window, oldest record first, under the ingest lock, and does
+// everything else off it: concurrent Score and Ingest calls proceed
+// while the copy's drift is measured and Refit fits the copy, so the
+// new model is the one NewMonitor fits over the same rows. Refit's
+// exclusive-lock swap means scoring sees the old model or the new one,
+// never a mixture; a failed or panicking fit leaves the old model
+// serving.
 func (m *Monitor) runWindowRefit(ing *ingestState) RefitResult {
-	res := func() (res RefitResult) {
-		defer func() {
-			if r := recover(); r != nil {
-				res.Err = fmt.Errorf("stream: ingest refit panicked: %v", r)
-			}
-		}()
-		return m.refitFromWindow(ing)
-	}()
+	v := m.snapshot()
 	ing.mu.Lock()
+	win := dataset.New(v.names, 0)
+	vals := win.AppendRows(ing.rows)
+	// Oldest first: the rows from next on, then the rows before it.
+	older := copy(vals, ing.ring[ing.next*ing.d:])
+	copy(vals[older:], ing.ring)
+	// Reset at snapshot time: records arriving while the fit runs count
+	// toward the next refit, not this one.
+	ing.sinceRefit = 0
+	ing.mu.Unlock()
+
+	res := RefitResult{Rows: win.N()}
+	if res.Rows == 0 {
+		res.Err = errors.New("stream: ingest window is empty")
+	} else {
+		res.Drift = drift(v.grid, vals)
+		res.Err = m.refitRecovered(win)
+	}
+	ing.mu.Lock()
+	if res.Rows > 0 {
+		ing.drift = res.Drift
+	}
 	if res.Err != nil {
 		ing.refitErrs++
 	} else {
@@ -366,54 +329,13 @@ func (m *Monitor) runWindowRefit(ing *ingestState) RefitResult {
 	return res
 }
 
-// refitFromWindow copies the buffered window and its sketches under
-// the ingest lock, then fits and swaps entirely off-lock: concurrent
-// Score/Ingest calls proceed throughout, and the swap itself reuses
-// the Refit path's exclusive-lock assignment, so scoring either sees
-// the old model or the new one — never a mixture.
-//
-// The grid boundaries come from the merged epoch sketches (Sketch.Cuts
-// per dimension), not a sorted pass over the window — the sketches are
-// the online boundary state, and a window no larger than the sketch
-// capacity reproduces the offline cuts exactly.
-func (m *Monitor) refitFromWindow(ing *ingestState) RefitResult {
-	m.mu.RLock()
-	g := m.grid
-	names := m.names
-	m.mu.RUnlock()
-
-	ing.mu.Lock()
-	rows := ing.rows
-	if rows == 0 {
-		ing.mu.Unlock()
-		return RefitResult{Err: errors.New("stream: ingest window is empty")}
-	}
-	drift := driftLocked(g, ing.epochs)
-	ing.drift = drift
-	win := dataset.New(names, rows)
-	merged := make([]*discretize.Sketch, ing.d)
-	for j := range merged {
-		merged[j] = discretize.NewSketchCap(ing.opt.SketchCap)
-	}
-	for _, e := range ing.epochs {
-		for i := 0; i < e.rows; i++ {
-			win.AppendRow(e.vals[i*ing.d:(i+1)*ing.d], "")
+// refitRecovered is Refit with a panic in the fit turned into an
+// error, so a poisoned window cannot kill the process.
+func (m *Monitor) refitRecovered(win *dataset.Dataset) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("stream: ingest refit panicked: %v", r)
 		}
-		for j, sk := range e.sketches {
-			merged[j].Merge(sk)
-		}
-	}
-	// Reset at snapshot time: records arriving while the fit runs count
-	// toward the next refit, not this one.
-	ing.sinceRefit = 0
-	ing.mu.Unlock()
-
-	cuts := make([][]float64, ing.d)
-	for j, sk := range merged {
-		cuts[j] = sk.Cuts(m.opt.Phi)
-	}
-	det := core.NewDetectorFromGrid(win, discretize.Apply(win, m.opt.Phi, cuts))
-	res := RefitResult{Rows: rows, Drift: drift}
-	res.Err = m.refitDetector(win, det)
-	return res
+	}()
+	return m.Refit(win)
 }

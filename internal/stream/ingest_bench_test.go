@@ -24,11 +24,11 @@ func benchIngestMonitor(b *testing.B, window, refitEvery int) *Monitor {
 }
 
 // BenchmarkIngest measures the sustained per-record ingest cost:
-// score-on-arrival plus the epoch-ring append and sketch update. The
-// norefit variant pins the steady-state hot path; the refit variant
-// lets background refits fire every 2048 records so their snapshot
-// cost (and nothing else — the fit itself runs concurrently) lands in
-// the measured stream.
+// score-on-arrival plus the window append, which allocates nothing
+// once the window is full. The norefit variant pins the steady-state
+// hot path; the refit variant lets background refits fire every 2048
+// records so their window copy (and nothing else — the fit itself runs
+// concurrently) lands in the measured stream.
 func BenchmarkIngest(b *testing.B) {
 	rows := make([][]float64, 1024)
 	r := xrand.New(7)

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"hido/internal/dataset"
+	"hido/internal/discretize"
 	"hido/internal/obs"
 	"hido/internal/synth"
 	"hido/internal/xrand"
@@ -83,7 +85,7 @@ func TestIngestWindowSlides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.EnableIngest(IngestOptions{Window: 100, RefitEvery: 1 << 20, Epochs: 4}); err != nil {
+	if err := m.EnableIngest(IngestOptions{Window: 100, RefitEvery: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	r := xrand.New(7)
@@ -91,33 +93,22 @@ func TestIngestWindowSlides(t *testing.T) {
 		if _, err := m.Ingest(typical(r)); err != nil {
 			t.Fatal(err)
 		}
-		st := m.IngestStats()
-		if st.WindowRows > 100 {
-			t.Fatalf("after %d ingests window holds %d rows, cap 100", i+1, st.WindowRows)
+		if got, want := m.IngestStats().WindowRows, min(i+1, 100); got != want {
+			t.Fatalf("after %d ingests window holds %d rows, want %d", i+1, got, want)
 		}
-	}
-	st := m.IngestStats()
-	// Whole-epoch expiry keeps at least window − epochSize rows around.
-	if st.WindowRows <= 100-25 {
-		t.Fatalf("window shrank to %d rows", st.WindowRows)
-	}
-	if st.Epochs > 5 {
-		t.Fatalf("ring grew to %d epochs", st.Epochs)
 	}
 }
 
-// TestIngestRefitMatchesOffline is the load-bearing exactness check:
-// with the window inside the sketch capacity, a refit driven by the
-// merged epoch sketches must produce bit-identical projections to an
-// offline fit over the same rows — the sketch path is the sorted pass,
-// just incremental.
+// TestIngestRefitMatchesOffline is the load-bearing exactness check: a
+// refit from a window that has not yet filled must produce
+// bit-identical projections to an offline fit over the same rows.
 func TestIngestRefitMatchesOffline(t *testing.T) {
 	opt := Options{Phi: 5, Seed: 11}
 	m, err := NewMonitor(reference(500, 10), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.EnableIngest(IngestOptions{Window: 1000, RefitEvery: 1 << 20, SketchCap: 1024}); err != nil {
+	if err := m.EnableIngest(IngestOptions{Window: 1000, RefitEvery: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	win := reference(400, 99)
@@ -134,10 +125,10 @@ func TestIngestRefitMatchesOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.K() != offline.K() {
-		t.Fatalf("sketch-refit k=%d, offline k=%d", m.K(), offline.K())
+		t.Fatalf("window refit k=%d, offline k=%d", m.K(), offline.K())
 	}
 	if !reflect.DeepEqual(m.Projections(), offline.Projections()) {
-		t.Fatalf("sketch-refit projections diverge from offline fit:\n%d vs %d projections",
+		t.Fatalf("window refit projections diverge from offline fit:\n%d vs %d projections",
 			len(m.Projections()), len(offline.Projections()))
 	}
 	st := m.IngestStats()
@@ -446,5 +437,183 @@ func TestMonitorRetainsNoDataset(t *testing.T) {
 		if m.grid.N != 0 {
 			t.Fatalf("ensemble=%v: grid after a window refit bound to %d records", ens != nil, m.grid.N)
 		}
+	}
+}
+
+// savedBytes is m's saved model.
+func savedBytes(t *testing.T, m *Monitor) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := m.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestWindowRefitIsOfflineFit pins what a window refit is: Refit over
+// the last Window records, oldest first, so it saves the bytes
+// NewMonitor saves over those records — for both model kinds, after
+// the window has wrapped, and with batches that wrap it mid-batch.
+func TestWindowRefitIsOfflineFit(t *testing.T) {
+	const window, ingested = 1500, 4000
+	arrivals := reference(ingested, 90)
+	last := make([]int, window)
+	for i := range last {
+		last[i] = ingested - window + i
+	}
+	for _, opt := range []Options{
+		{Phi: 5, Seed: 91},
+		{Phi: 5, Seed: 92, Ensemble: &EnsembleOptions{Members: 3}},
+	} {
+		m, err := NewMonitor(reference(600, 93), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.EnableIngest(IngestOptions{Window: window, RefitEvery: 1 << 20}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 700; i++ {
+			if _, err := m.Ingest(arrivals.RowView(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for lo := 700; lo < ingested; lo += 700 {
+			rows := make([]int, 0, 700)
+			for i := lo; i < min(lo+700, ingested); i++ {
+				rows = append(rows, i)
+			}
+			if _, err := m.IngestBatch(context.Background(), arrivals.SelectRows(rows), 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.RefitFromWindow(); err != nil {
+			t.Fatal(err)
+		}
+		offline, err := NewMonitor(arrivals.SelectRows(last), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := savedBytes(t, m), savedBytes(t, offline); !bytes.Equal(got, want) {
+			t.Errorf("%s: the window refit saves %d bytes that differ from the offline fit's %d",
+				m.Kind(), len(got), len(want))
+		}
+	}
+}
+
+// TestIngestWindowGrowsWithRows pins that a window's memory follows
+// the records it holds, not its bound: a monitor whose Window is far
+// larger than any machine's memory ingests a few hundred records and
+// refits from exactly those.
+func TestIngestWindowGrowsWithRows(t *testing.T) {
+	opt := Options{Phi: 5, Seed: 94}
+	m, err := NewMonitor(reference(300, 95), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EnableIngest(IngestOptions{Window: 1 << 40, RefitEvery: 1 << 40}); err != nil {
+		t.Fatal(err)
+	}
+	win := reference(300, 96)
+	if _, err := m.IngestBatch(context.Background(), win, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.IngestStats(); st.WindowRows != win.N() {
+		t.Fatalf("window holds %d rows after ingesting %d", st.WindowRows, win.N())
+	}
+	if err := m.RefitFromWindow(); err != nil {
+		t.Fatal(err)
+	}
+	offline, err := NewMonitor(win, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(savedBytes(t, m), savedBytes(t, offline)) {
+		t.Error("the refit of a partly filled window differs from the offline fit of its rows")
+	}
+}
+
+// bruteDrift is Monitor.Drift's definition counted record by record:
+// for every dimension and interior boundary of g, the fraction of the
+// dimension's non-missing values in rows at or below the boundary,
+// against its equi-depth target.
+func bruteDrift(g *discretize.Grid, rows [][]float64) float64 {
+	total, count := 0.0, 0
+	for j := 0; j < g.D; j++ {
+		cuts := g.Cuts(j)
+		for r := 1; r < g.Phi; r++ {
+			present, below := 0, 0
+			for _, row := range rows {
+				if math.IsNaN(row[j]) {
+					continue
+				}
+				present++
+				if row[j] <= cuts[r-1] {
+					below++
+				}
+			}
+			if present == 0 {
+				continue
+			}
+			total += math.Abs(float64(below)/float64(present) - float64(r)/float64(g.Phi))
+			count++
+		}
+	}
+	if count == 0 {
+		return 0
+	}
+	return total / float64(count)
+}
+
+// TestDriftIsExactRank checks Drift, the drift a refit reports and the
+// one IngestStats keeps against a brute-force count over the window,
+// on a wrapped window of more than 1 024 records with missing values,
+// a shifted dimension and values equal to a serving cut.
+func TestDriftIsExactRank(t *testing.T) {
+	const window = 1300
+	m, err := NewMonitor(reference(800, 97), Options{Phi: 5, Seed: 98})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refit RefitResult
+	if err := m.EnableIngest(IngestOptions{Window: window, RefitEvery: 1 << 20,
+		OnRefit: func(res RefitResult) { refit = res }}); err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(99)
+	onCut := m.grid.Cuts(4)[1]
+	var ingested [][]float64
+	for i := 0; i < 2000; i++ {
+		row := typical(r)
+		row[3] += 0.4
+		switch i % 7 {
+		case 0:
+			row[5] = math.NaN()
+		case 1:
+			row[4] = onCut
+		}
+		if _, err := m.Ingest(row); err != nil {
+			t.Fatal(err)
+		}
+		ingested = append(ingested, row)
+	}
+	held := ingested[len(ingested)-window:]
+	want := bruteDrift(m.grid, held)
+	if want < 0.02 {
+		t.Fatalf("brute-force drift %v: the shifted dimension should show", want)
+	}
+	if got := m.Drift(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("Drift %v, brute-force count %v", got, want)
+	}
+	if err := m.RefitFromWindow(); err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(refit.Drift-want) > 1e-12 || refit.Rows != window {
+		t.Fatalf("refit reported %+v, want drift %v over %d rows", refit, want, window)
+	}
+	if st := m.IngestStats(); st.Drift != refit.Drift {
+		t.Fatalf("IngestStats drift %v, refit drift %v", st.Drift, refit.Drift)
+	}
+	if got, want := m.Drift(), bruteDrift(m.grid, held); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("after the refit Drift %v, brute-force count %v", got, want)
 	}
 }

@@ -30,7 +30,7 @@ func TestIngestRefitsHoldHeapLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.EnableIngest(IngestOptions{Window: window, RefitEvery: every, Epochs: 4}); err != nil {
+	if err := m.EnableIngest(IngestOptions{Window: window, RefitEvery: every}); err != nil {
 		t.Fatal(err)
 	}
 	arrivals := reference(every*refits, 3)

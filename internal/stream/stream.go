@@ -173,7 +173,7 @@ func NewMonitorOver(src core.CountSource, cuts [][]float64, names []string, opt 
 }
 
 // Refit replaces the model with one mined from a new reference window
-// (same dimensionality).
+// (same dimensionality). On any error the held model is left untouched.
 func (m *Monitor) Refit(reference *dataset.Dataset) error {
 	// Reject a mismatched window before discretizing or searching: the
 	// mismatch used to surface only after the full evolutionary run had
@@ -181,7 +181,13 @@ func (m *Monitor) Refit(reference *dataset.Dataset) error {
 	if err := m.checkDims(reference.D()); err != nil {
 		return err
 	}
-	return m.refitDetector(reference, core.NewDetector(reference, m.opt.Phi))
+	det := core.NewDetector(reference, m.opt.Phi)
+	if m.opt.Ensemble != nil {
+		return m.refitEnsemble(reference, det)
+	}
+	// Keep the cuts only, as a loaded model does: the detector's grid
+	// is bound to the reference window, which the model must not pin.
+	return m.refitOver(det.Source(), discretize.FromCuts(det.Phi(), det.Grid.AllCuts()), reference.Names)
 }
 
 // checkDims rejects a refit window whose dimensionality disagrees with
@@ -194,19 +200,6 @@ func (m *Monitor) checkDims(d int) error {
 		return fmt.Errorf("stream: refit window has %d dims, model has %d", d, m.grid.D)
 	}
 	return nil
-}
-
-// refitDetector is Refit from a pre-built detector — the shared tail of
-// the offline path (detector from a full sorted pass over the window)
-// and the streaming path (detector from sketch-derived cuts). On any
-// error the held model is left untouched.
-func (m *Monitor) refitDetector(reference *dataset.Dataset, det *core.Detector) error {
-	if m.opt.Ensemble != nil {
-		return m.refitEnsemble(reference, det)
-	}
-	// Keep the cuts only, as a loaded model does: the detector's grid
-	// is bound to the reference window, which the model must not pin.
-	return m.refitOver(det.Source(), discretize.FromCuts(det.Phi(), det.Grid.AllCuts()), reference.Names)
 }
 
 // refitOver is the single-search fit, the one body behind NewMonitor,
